@@ -18,6 +18,9 @@ import numpy as np
 from . import geometry as geo
 
 DEFAULT_STEP = 1e-3
+# RK4 steps whose stage points are evaluated in one batched call; bounds
+# the memory of a segment at any step size
+STAGE_BLOCK = 256
 
 
 class BundleError(Exception):
@@ -25,25 +28,34 @@ class BundleError(Exception):
 
 
 def assemble_coefficients(g, gamma, S, f, u):
-    """Connection matrices A_i, one per coordinate direction."""
-    n = g.shape[0]
+    """Connection matrices A_i, one per coordinate direction.
+
+    The inputs may carry a leading point axis; A then has shape
+    (P, n, n + 3, n + 3).
+    """
+    return _coefficient_blocks(g, gamma, g @ S, g @ f, S, f, u,
+                               np.eye(g.shape[-1]))
+
+
+def _coefficient_blocks(g, gamma, gS, gf, S, f, u, eye):
+    """A[..., i] from its ingredients; affine in them, with the constant
+    part carried by ``eye`` (zero for derivatives of A)."""
+    n = g.shape[-1]
     N = n + 3
-    gS = g @ S
-    gf = g @ f
-    eye = np.eye(n)
-    A = np.zeros((n, N, N))
-    for i in range(n):
-        A[i, :n, :n] = gamma[:, i, :]
-        A[i, n, :n] = gS[:, i]                       # g(S d_i, d_j)
-        A[i, n + 1, :n] = -0.5 * (g[i, :] + gf[:, i])
-        A[i, n + 2, :n] = 0.5 * (g[i, :] - gf[:, i])
-        A[i, :n, n] = -S[:, i]
-        A[i, n + 1, n] = -0.5 * u[i]
-        A[i, n + 2, n] = -0.5 * u[i]
-        A[i, :n, n + 1] = 0.5 * (eye[:, i] + f[:, i])
-        A[i, n, n + 1] = 0.5 * u[i]
-        A[i, :n, n + 2] = 0.5 * (eye[:, i] - f[:, i])
-        A[i, n, n + 2] = -0.5 * u[i]
+    A = np.zeros(g.shape[:-2] + (n, N, N))
+    gfT = np.swapaxes(gf, -1, -2)
+    fT = np.swapaxes(f, -1, -2)
+    A[..., :n, :n] = np.swapaxes(gamma, -3, -2)   # Gamma^a_ib
+    A[..., n, :n] = np.swapaxes(gS, -1, -2)       # g(S d_i, d_b)
+    A[..., n + 1, :n] = -0.5 * (g + gfT)
+    A[..., n + 2, :n] = 0.5 * (g - gfT)
+    A[..., :n, n] = -np.swapaxes(S, -1, -2)
+    A[..., n + 1, n] = -0.5 * u
+    A[..., n + 2, n] = -0.5 * u
+    A[..., :n, n + 1] = 0.5 * (eye + fT)
+    A[..., n, n + 1] = 0.5 * u
+    A[..., :n, n + 2] = 0.5 * (eye - fT)
+    A[..., n, n + 2] = -0.5 * u
     return A
 
 
@@ -105,29 +117,13 @@ class ConnectionField:
         """dA[p, i] = d_p A_i via the product rule on exact field derivatives."""
         ev = ev or self.spec.eval_at(point)
         n = self.n
-        N = n + 3
         calc = ev.calc
         g, dg = calc.g, calc.dg
         S, dS, f, df, U, dU = ev.S, ev.dS, ev.f, ev.df, ev.U, ev.dU
-        u = ev.u
         du = np.array([dg[p] @ U + g @ dU[p] for p in range(n)])
         dgS = np.array([dg[p] @ S + g @ dS[p] for p in range(n)])
         dgf = np.array([dg[p] @ f + g @ df[p] for p in range(n)])
-        dA = np.zeros((n, n, N, N))
-        for p in range(n):
-            for i in range(n):
-                dA[p, i, :n, :n] = calc.dgamma[p, :, i, :]
-                dA[p, i, n, :n] = dgS[p, :, i]
-                dA[p, i, n + 1, :n] = -0.5 * (dg[p, i, :] + dgf[p, :, i])
-                dA[p, i, n + 2, :n] = 0.5 * (dg[p, i, :] - dgf[p, :, i])
-                dA[p, i, :n, n] = -dS[p, :, i]
-                dA[p, i, n + 1, n] = -0.5 * du[p, i]
-                dA[p, i, n + 2, n] = -0.5 * du[p, i]
-                dA[p, i, :n, n + 1] = 0.5 * df[p, :, i]
-                dA[p, i, n, n + 1] = 0.5 * du[p, i]
-                dA[p, i, :n, n + 2] = -0.5 * df[p, :, i]
-                dA[p, i, n, n + 2] = -0.5 * du[p, i]
-        return dA
+        return _coefficient_blocks(dg, calc.dgamma, dgS, dgf, dS, df, du, 0.0)
 
     def flatness_residual(self, point, ev=None):
         """sup_{i<j} max-entry of d_i A_j - d_j A_i + [A_i, A_j]."""
@@ -183,20 +179,23 @@ class ConnectionField:
         steps = max(1, int(np.ceil(length / step)))
         h = 1.0 / steps
         M = np.array(M, dtype=float)
-
-        def B(t):
-            A = self.coefficients(p0 + t * delta)
-            return -np.einsum("i,iab->ab", delta, A)
-
-        for s in range(steps):
-            t = s * h
-            B1 = B(t)
-            B2 = B(t + 0.5 * h)     # shared by the two midpoint stages
-            k1 = B1 @ M
-            k2 = B2 @ (M + 0.5 * h * k1)
-            k3 = B2 @ (M + 0.5 * h * k2)
-            k4 = B(t + h) @ (M + h * k3)
-            M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for first in range(0, steps, STAGE_BLOCK):
+            count = min(STAGE_BLOCK, steps - first)
+            # stage times of steps first .. first + count - 1: starts at
+            # even, midpoints at odd indices; the last entry ends the block
+            t = np.empty(2 * count + 1)
+            t[0::2] = np.arange(first, first + count + 1) * h
+            t[1::2] = t[:-1:2] + 0.5 * h
+            A = assemble_coefficients(
+                *self.spec.connection_data_batch(p0 + t[:, None] * delta))
+            B = -np.einsum("i,jiab->jab", delta, A)
+            for s in range(count):
+                B2 = B[2 * s + 1]   # shared by the two midpoint stages
+                k1 = B[2 * s] @ M
+                k2 = B2 @ (M + 0.5 * h * k1)
+                k3 = B2 @ (M + 0.5 * h * k2)
+                k4 = B[2 * s + 2] @ (M + h * k3)
+                M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return M
 
     def transport(self, waypoints, M=None, step=DEFAULT_STEP):

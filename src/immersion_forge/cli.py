@@ -20,7 +20,8 @@ Reports are line-oriented JSON (one record per grid point plus one final
 summary record) or CSV tables.  CSV column order: point coordinates, psi
 components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
-validation, 2 malformed input or off-model data.
+validation, 2 malformed input (including a --base outside the chart and a
+field expression that leaves its domain or overflows) or off-model data.
 """
 
 import argparse
@@ -141,6 +142,19 @@ def as_structure(obj, grid_density):
     return am.extract_structure(obj)
 
 
+def check_base(config, chart):
+    """Reject a --base override that is not a point of the chart box."""
+    base = config.base
+    if base is None:
+        return
+    if len(base) != chart.n:
+        raise InputError(f"--base has {len(base)} coordinates, "
+                         f"the chart needs {chart.n}")
+    if not chart.contains(base):
+        raise InputError(f"--base {base} lies outside the chart box "
+                         f"{[list(iv) for iv in chart.box]}")
+
+
 def as_hypersurface(obj):
     if not isinstance(obj, am.ParametrizedHypersurface):
         raise InputError("this command needs a hypersurface input")
@@ -238,7 +252,9 @@ def cmd_check(config):
 
 
 def cmd_reconstruct(config):
-    spec = as_structure(load_input(config.input), config.grid)
+    obj = load_input(config.input)
+    check_base(config, obj.chart)
+    spec = as_structure(obj, config.grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     admission = st.admit(spec, tol=tol, grid_density=config.grid)
     if not admission.admissible:
@@ -270,6 +286,7 @@ def cmd_extract(config):
 
 def cmd_roundtrip(config):
     h = as_hypersurface(load_input(config.input))
+    check_base(config, h.chart)
     h.check_on_model(grid_density=config.grid)
     spec = am.extract_structure(h)
     admission = st.admit(spec, grid_density=config.grid)
@@ -376,7 +393,7 @@ def main(argv=None):
     try:
         validate_config(config)
         return COMMANDS[config.command](config)
-    except (InputError, am.NotOnModelError) as err:
+    except (InputError, am.NotOnModelError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (st.StructureError, rc.ReconstructionError,

@@ -12,6 +12,9 @@ as cross-checks in the test suite.
 
 import math
 import re
+import types
+
+import numpy as np
 
 __all__ = [
     "Expr", "ExprError", "ParseError", "DomainError",
@@ -571,17 +574,69 @@ _COMPILE_GLOBALS = {
 }
 
 
+# numpy counterparts: the same checks as the scalar helpers, over a whole
+# array of points at once
+
+def _np_log(x):
+    if np.any(x <= 0.0):
+        raise DomainError("log of nonpositive value")
+    return np.log(x)
+
+
+def _np_sqrt(x):
+    if np.any(x < 0.0):
+        raise DomainError("sqrt of negative value")
+    return np.sqrt(x)
+
+
+def _np_div(a, b):
+    if np.any(b == 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _np_pow(b, c):
+    if float(c).is_integer():
+        if c < 0 and np.any(b == 0.0):
+            raise DomainError("zero raised to a negative power")
+        return b ** c
+    if np.any(b <= 0.0):
+        raise DomainError("non-integer power of nonpositive base")
+    return np.exp(c * np.log(b))
+
+
+_NP_GLOBALS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "exp": np.exp, "_log": _np_log, "_sqrt": _np_sqrt,
+    "_div": _np_div, "_pow": _np_pow,
+}
+
+
 def compile_exprs(exprs, coords):
     """Compile a batch of expressions into one function point -> list[float].
 
-    The generated function evaluates each unique DAG node exactly once.
+    The generated function evaluates each unique DAG node exactly once.  Its
+    ``batch`` attribute runs the same code over numpy arrays: points of
+    shape (P, len(coords)) -> values of shape (P, len(exprs)), row j equal
+    to the function at points[j].  Both raise DomainError naming the point
+    where a value leaves the domain, overflows or is not finite.
     """
     exprs = list(exprs)
     order = postorder(exprs)
+    # a temporary is free for reuse after its last reader, so a batch keeps
+    # only the live values in memory; results stay live until the return
+    last_read = {}
+    for pos, node in enumerate(order):
+        for child in node.args:
+            last_read[id(child)] = pos
+    for e in exprs:
+        last_read[id(e)] = len(order)
     name = {}
+    free = []
     lines = []
     counter = 0
-    for node in order:
+    for pos, node in enumerate(order):
         if node.kind == "const":
             name[id(node)] = _fmt_literal(node.value)
             continue
@@ -590,10 +645,17 @@ def compile_exprs(exprs, coords):
                 raise ExprError(f"unbound coordinate {node.value!r}")
             name[id(node)] = f"_c{coords.index(node.value)}"
             continue
-        nm = f"_t{counter}"
-        counter += 1
+        operands = [name[id(a)] for a in node.args]
+        for child in dict.fromkeys(node.args):
+            if last_read[id(child)] == pos and name[id(child)].startswith("_t"):
+                free.append(name[id(child)])
+        if free:
+            nm = free.pop()
+        else:
+            nm = f"_t{counter}"
+            counter += 1
         if node.kind == "call":
-            a = name[id(node.args[0])]
+            a, = operands
             if node.op == "neg":
                 lines.append(f"{nm} = -{a}")
             elif node.op in ("log", "sqrt"):
@@ -601,8 +663,7 @@ def compile_exprs(exprs, coords):
             else:
                 lines.append(f"{nm} = {node.op}({a})")
         else:
-            a = name[id(node.args[0])]
-            b = name[id(node.args[1])]
+            a, b = operands
             if node.op == "/":
                 lines.append(f"{nm} = _div({a}, {b})")
             elif node.op == "^":
@@ -627,7 +688,47 @@ def compile_exprs(exprs, coords):
     body.append(f"    return [{result}]" if exprs else "    return []")
     namespace = dict(_COMPILE_GLOBALS)
     exec("\n".join(body), namespace)  # noqa: S102 - generated from our own AST
-    return namespace["_compiled"]
+    scalar = namespace["_compiled"]
+    vector = types.FunctionType(scalar.__code__, _NP_GLOBALS)
+
+    def compiled(point):
+        try:
+            vals = scalar(point)
+        except OverflowError as exc:
+            raise DomainError(
+                f"overflow ({exc}) at {_point_text(point)}") from None
+        except DomainError as exc:
+            raise DomainError(f"{exc} at {_point_text(point)}") from None
+        if not all(map(math.isfinite, vals)):
+            raise DomainError(f"non-finite value at {_point_text(point)}")
+        return vals
+
+    def batch(points):
+        points = np.asarray(points, dtype=float).reshape(-1, len(coords))
+        if len(points) == 1:
+            # numpy's per-operation overhead exceeds the work of one point
+            return np.array([compiled(points[0].tolist())])
+        out = np.empty((len(points), len(exprs)))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for i, v in enumerate(vector(points.T)):
+                    out[:, i] = v
+        except (DomainError, FloatingPointError):
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+        # name the first failing point the way the scalar function does
+        for point in points:
+            compiled(point)
+        raise DomainError("floating-point overflow in batched evaluation")
+
+    compiled.batch = batch
+    return compiled
+
+
+def _point_text(point):
+    return str(tuple(float(x) for x in point))
 
 
 def _fmt_literal(v):

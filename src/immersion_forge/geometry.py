@@ -52,8 +52,10 @@ class Chart:
         return len(self.coords)
 
     def contains(self, point, slack=1e-12):
-        return all(lo - slack <= p <= hi + slack
-                   for (lo, hi), p in zip(self.box, point))
+        """True for a point of the chart's dimension inside the box."""
+        return len(point) == self.n and all(
+            lo - slack <= p <= hi + slack
+            for (lo, hi), p in zip(self.box, point))
 
     def axis_values(self, density=8, margin=0.01):
         """Uniform per-axis sample values, shrunk from the box boundary."""
@@ -155,9 +157,17 @@ class MetricField:
 
 
 def check_positive_definite(g, point):
+    """Raise SingularMetricError unless ``g`` is positive definite.
+
+    With a leading point axis, ``g`` has shape (P, n, n), ``point`` holds
+    the P points and the error names the first failing one.
+    """
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
+        if g.ndim == 3:
+            for gj, pj in zip(g, point):
+                check_positive_definite(gj, tuple(float(x) for x in pj))
         raise SingularMetricError(
             f"metric not positive definite at {point}") from None
 
@@ -181,11 +191,12 @@ def calculus_from_values(point, g, dg, ddg):
 
 
 def christoffels_from_values(g, dg, ginv=None):
+    """Gamma^m_ij from g and dg; all arrays may carry leading point axes."""
     if ginv is None:
         ginv = np.linalg.inv(g)
     # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("ml,ijl->mij", ginv, sym)
+    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    return 0.5 * np.einsum("...ml,...ijl->...mij", ginv, sym)
 
 
 def riemann_from_values(gamma, dgamma):

@@ -22,7 +22,6 @@ from . import bundle as bd
 from . import geometry as geo
 from . import structure as st
 from .ambient import AmbientModel
-from .runtime import map_ordered
 
 
 class ReconstructionError(Exception):

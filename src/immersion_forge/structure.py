@@ -21,7 +21,6 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from .geometry import SingularMetricError
-from .runtime import map_ordered
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -184,18 +183,24 @@ class StructureSpec:
         fn = ex.compile_exprs(flat, coords)
         return fn
 
+    def connection_data_batch(self, points):
+        """Stacked (g, gamma, S, f, u) at each of ``points``, shape (P, n)."""
+        n = self.n
+        points = np.asarray(points, dtype=float)
+        vals = self._connection_evaluator.batch(points)
+        P = len(points)
+        g = vals[:, :n * n].reshape(P, n, n)
+        dg = vals[:, n * n:n * n + n ** 3].reshape(P, n, n, n)
+        S = vals[:, n * n + n ** 3:2 * n * n + n ** 3].reshape(P, n, n)
+        f = vals[:, 2 * n * n + n ** 3:3 * n * n + n ** 3].reshape(P, n, n)
+        U = vals[:, 3 * n * n + n ** 3:]
+        geo.check_positive_definite(g, points)
+        gamma = geo.christoffels_from_values(g, dg)
+        return g, gamma, S, f, np.einsum("pij,pj->pi", g, U)
+
     def connection_data_at(self, point):
         """(g, gamma, S, f, u) needed to assemble connection coefficients."""
-        n = self.n
-        vals = np.array(self._connection_evaluator(point))
-        g = vals[:n * n].reshape(n, n)
-        dg = vals[n * n:n * n + n ** 3].reshape(n, n, n)
-        S = vals[n * n + n ** 3:2 * n * n + n ** 3].reshape(n, n)
-        f = vals[2 * n * n + n ** 3:3 * n * n + n ** 3].reshape(n, n)
-        U = vals[3 * n * n + n ** 3:]
-        geo.check_positive_definite(g, point)
-        gamma = geo.christoffels_from_values(g, dg)
-        return g, gamma, S, f, g @ U
+        return tuple(a[0] for a in self.connection_data_batch([point]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +390,7 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
                    float(np.abs(ev.f + np.eye(n)).max()))
         return ("ok", point, per, trace_invariant(ev), f_id)
 
-    results = map_ordered(point_result, grid)
+    results = [point_result(point) for point in grid]
     trace_values = []
     f_identity_everywhere = True
     for item in results:

@@ -5,6 +5,7 @@ import pytest
 
 from immersion_forge import bundle as bd
 from immersion_forge import expr as ex
+from immersion_forge import geometry as geo
 from immersion_forge import structure as st
 
 
@@ -119,3 +120,79 @@ def test_coefficients_recover_shape_operator(cylinder):
         assert np.allclose(A[i, n, :n], (g @ S)[:, i])
         assert np.allclose(A[i, :n, n], -S[:, i])
         assert np.allclose(A[i, :n, :n], gamma[:, i, :])
+
+
+# -- batched stage evaluation ------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["geodesic_slice", "sphere_slice",
+                                  "diagonal_geodesic", "diagonal_cylinder",
+                                  "perturbed_geodesic", "geodesic_slice_n3"])
+def test_connection_data_batch_matches_pointwise(name, catalog_structures):
+    _, spec = catalog_structures[name]
+    points = spec.chart.grid(3)
+    batch = spec.connection_data_batch(points)
+    for j, point in enumerate(points):
+        single = spec.connection_data_at(point)
+        ev = spec.eval_at(point)        # independent scalar evaluator
+        scalar = (ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+        for got, one, ref in zip(batch, single, scalar):
+            np.testing.assert_allclose(got[j], one, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(got[j], ref, rtol=1e-13, atol=1e-13)
+
+
+def _reference_transport(conn, p0, p1, M, step):
+    """Per-point RK4 with one coefficients() call per stage."""
+    p0 = np.asarray(p0, dtype=float)
+    delta = np.asarray(p1, dtype=float) - p0
+    steps = max(1, int(np.ceil(np.linalg.norm(delta) / step)))
+    h = 1.0 / steps
+
+    def B(t):
+        return -np.einsum("i,iab->ab", delta, conn.coefficients(p0 + t * delta))
+
+    for s in range(steps):
+        t = s * h
+        B1, B2, B3 = B(t), B(t + 0.5 * h), B(t + h)
+        k1 = B1 @ M
+        k2 = B2 @ (M + 0.5 * h * k1)
+        k3 = B2 @ (M + 0.5 * h * k2)
+        k4 = B3 @ (M + h * k3)
+        M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return M
+
+
+@pytest.mark.parametrize("name,p0,p1,step", [
+    # 571 steps: two full stage blocks and a partial one
+    ("diagonal_cylinder", (-0.4, -0.3), (0.5, 0.4), 2e-3),
+    ("perturbed_geodesic", (-0.3,), (0.4,), 1e-2),
+    ("geodesic_slice_n3", (-0.2, 0.1, -0.3), (0.3, -0.2, 0.2), 1e-2),
+])
+def test_transport_segment_matches_per_point_reference(
+        name, p0, p1, step, catalog_structures, rng):
+    _, spec = catalog_structures[name]
+    conn = bd.ConnectionField(spec)
+    M0 = np.eye(conn.fiber_dim) + 0.1 * rng.standard_normal(
+        (conn.fiber_dim, conn.fiber_dim))
+    got = conn.transport_segment(p0, p1, M0, step=step)
+    want = _reference_transport(conn, p0, p1, M0, step)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def _line_structure(g="1", S="0"):
+    chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.5,))
+    return st.StructureSpec.from_strings(chart, [[g]], [[S]], [["1"]], ["0"],
+                                         "-1")
+
+
+def test_transport_rejects_singular_metric_at_interior_stage_point():
+    # g vanishes at u1 = 0, the midpoint of the middle step of five
+    conn = bd.ConnectionField(_line_structure(g="u1^2"))
+    with pytest.raises(geo.SingularMetricError, match=r"at \(0\.0,\)"):
+        conn.transport_segment((-0.5,), (0.5,), np.eye(4), step=0.2)
+
+
+def test_transport_rejects_division_by_zero_at_stage_point():
+    conn = bd.ConnectionField(_line_structure(S="1/u1"))
+    with pytest.raises(ex.DomainError, match=r"division by zero at \(0\.0,\)"):
+        conn.transport_segment((-0.5,), (0.5,), np.eye(4), step=0.1)

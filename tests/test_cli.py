@@ -100,6 +100,37 @@ def test_schema_errors_exit_2(capsys, tmp_path, mutate):
     assert err.startswith("error:")
 
 
+def test_expression_overflow_exits_2(capsys, tmp_path):
+    doc = flat_slice_doc()
+    doc["fields"]["lambda"] = "-1 + 1e-300*cosh(1000*u1)"
+    path = write_doc(tmp_path, doc)
+    code, _, err = run(capsys, "check", path, "--grid", "3")
+    assert code == 2
+    assert err.startswith("error: overflow")
+    assert "at (-0.882, -0.882)" in err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+@pytest.mark.parametrize("base,message", [
+    ("0.1", "has 1 coordinates"),
+    ("0.1,0.2,0.3", "has 3 coordinates"),
+    ("5,5", "outside the chart box"),
+])
+def test_bad_base_exits_2(capsys, command, base, message):
+    code, _, err = run(capsys, command, "catalog:geodesic_slice",
+                       "--grid", "2", "--base", base)
+    assert code == 2
+    assert err.startswith("error: --base") and message in err
+
+
+def test_base_inside_chart_accepted(capsys):
+    code, out, _ = run(capsys, "roundtrip", "catalog:geodesic_slice",
+                       "--grid", "2", "--base=-0.3,0.4")
+    assert code == 0
+    _, summary = parse_jsonl(out)
+    assert summary["congruent"] is True
+
+
 def test_invalid_json_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

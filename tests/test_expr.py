@@ -108,14 +108,34 @@ def test_constant_folding():
     ("sqrt(u1)", -1.0),
     ("1/u1", 0.0),
     ("u1^-1", 0.0),
+    ("u1^0.5", 0.0),
+    ("cosh(1000*u1)", 0.9),
+    ("1/cosh(1000*u1)", 0.9),
+    ("exp(500*u1)^2", 0.9),
 ])
 def test_domain_errors(text, value):
     e = ex.parse(text, ("u1",))
     with pytest.raises(ex.DomainError):
         ex.evaluate(e, {"u1": value})
     fn = ex.compile_exprs([e], ("u1",))
-    with pytest.raises(ex.DomainError):
+    with pytest.raises(ex.DomainError, match=f"at \\({value},\\)"):
         fn((value,))
+    # the batch names the first bad point, not its neighbours
+    with pytest.raises(ex.DomainError, match=f"at \\({value},\\)"):
+        fn.batch([(0.5,), (value,), (0.25,), (value,)])
+
+
+@pytest.mark.parametrize("text", CORPUS)
+def test_batch_matches_scalar_pointwise(text, rng):
+    e = ex.parse(text, COORDS)
+    exprs = [e, ex.diff(e, "u1"), ex.diff(ex.diff(e, "u1"), "u2"),
+             ex.const(2.5), ex.var("u2")]
+    fn = ex.compile_exprs(exprs, COORDS)
+    points = _random_points(100, rng)
+    got = fn.batch(points)
+    assert got.shape == (len(points), len(exprs))
+    want = np.array([fn(p) for p in points])
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("text,offset", [

@@ -163,3 +163,5 @@ class TestChart:
         chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
         assert chart.contains((0.5,))
         assert not chart.contains((1.5,))
+        assert not chart.contains((0.5, 0.5))
+        assert not chart.contains(())
