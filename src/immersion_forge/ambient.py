@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .structure import StructureSpec
+from . import structure as st
 
 
 class AmbientError(Exception):
@@ -184,22 +184,16 @@ class ParametrizedHypersurface:
     def n(self):
         return self.chart.n
 
+    def _fields(self, *extra):
+        """Position x[a] and jacobian dx[a, i] = d_i x_a, then ``extra``."""
+        x = np.array(self.x, dtype=object)
+        dx = geo.derivatives(x, self.chart.coords).T
+        return geo.compile_fields([("x", x), ("dx", dx), *extra],
+                                  self.chart.coords)
+
     @cached_property
     def _sample_evaluator(self):
-        coords = self.chart.coords
-        dx = [[ex.diff(xa, c) for c in coords] for xa in self.x]
-        flat = list(self.x) + [e for row in dx for e in row]
-        return ex.compile_exprs(flat, coords)
-
-    def position(self, point):
-        vals = self._sample_evaluator(point)
-        d = self.n + 3
-        return np.array(vals[:d])
-
-    def jacobian(self, point):
-        vals = np.array(self._sample_evaluator(point))
-        d = self.n + 3
-        return vals[d:].reshape(d, self.n)
+        return self._fields()
 
     def check_on_model(self, grid=None, tol=1e-10, grid_density=8):
         """Raise unless the image stays on the model with rank-n jacobian."""
@@ -207,7 +201,8 @@ class ParametrizedHypersurface:
             grid = self.chart.grid(grid_density)
         worst = 0.0
         for point in grid:
-            x = self.position(point)
+            vals = self._sample_evaluator([point])
+            x = vals["x"][0]
             res = self.model.on_model_residual(x)
             worst = max(worst, res)
             if res > tol:
@@ -215,7 +210,7 @@ class ParametrizedHypersurface:
                     f"not on model at {point}: residual {res:.3e}")
             if x[-1] <= 0.0:
                 raise NotOnModelError(f"lower hyperboloid sheet at {point}")
-            if np.linalg.matrix_rank(self.jacobian(point), tol=1e-10) < self.n:
+            if np.linalg.matrix_rank(vals["dx"][0], tol=1e-10) < self.n:
                 raise NotOnModelError(f"jacobian rank defect at {point}")
         return worst
 
@@ -251,20 +246,12 @@ class ParametrizedHypersurface:
 
     @cached_property
     def _psi_evaluator(self):
-        coords = self.chart.coords
-        nu = self.normal_exprs
-        dx = [[ex.diff(xa, c) for c in coords] for xa in self.x]
-        flat = list(self.x) + [e for row in dx for e in row] + list(nu)
-        return ex.compile_exprs(flat, coords)
+        return self._fields(("nu", np.array(self.normal_exprs, dtype=object)))
 
     def sample(self, point):
         """Position, jacobian and unit normal at a point (numeric)."""
-        vals = np.array(self._psi_evaluator(point))
-        d = self.n + 3
-        x = vals[:d]
-        dx = vals[d:d + d * self.n].reshape(d, self.n)
-        nu = vals[d + d * self.n:]
-        return x, dx, nu
+        vals = self._psi_evaluator([point])
+        return vals["x"][0], vals["dx"][0], vals["nu"][0]
 
 
 def extract_structure(h):
@@ -313,7 +300,7 @@ def extract_structure(h):
     f = [[_dot_row(ginv[i], [t[m][j] for m in range(n)])
           for j in range(n)] for i in range(n)]
 
-    return StructureSpec(
+    return st.StructureSpec(
         chart,
         np.array(g, dtype=object),
         np.array(S, dtype=object),
@@ -463,32 +450,17 @@ def audit_equations(h, grid=None, tol=1e-8, grid_density=8):
     spec = extract_structure(h)
     if grid is None:
         grid = spec.chart.grid(grid_density)
-    n = spec.n
-    eye = np.eye(n)
-    sup = {"g1": 0.0, "g2": 0.0, "c+": 0.0, "c-": 0.0}
+    sup = dict.fromkeys(("gauss_f_outside", "gauss_f_paired",
+                         "codazzi_plus", "codazzi_minus"), 0.0)
     for point in grid:
         ev = spec.eval_at(point)
-        calc, g, S, f, u = ev.calc, ev.g, ev.S, ev.f, ev.u
-        nabla = [ev.nabla_S(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                base = nabla[i][:, j] - nabla[j][:, i]
-                rhs = 0.5 * (u[i] * eye[:, j] - u[j] * eye[:, i])
-                sup["c+"] = max(sup["c+"], calc.gnorm(base - rhs))
-                sup["c-"] = max(sup["c-"], calc.gnorm(base + rhs))
-                for kk in range(n):
-                    lhs = calc.riem[:, i, j, kk]
-                    wSS = geo.wedge(S[:, i], S[:, j], eye[:, kk], g)
-                    wIJ = geo.wedge(eye[:, i], eye[:, j], eye[:, kk], g)
-                    wIJf = geo.wedge(eye[:, i], eye[:, j], f[:, kk], g)
-                    wff = geo.wedge(f[:, i], f[:, j], eye[:, kk], g)
-                    r1 = wSS + 0.5 * (f @ wIJ + wIJf)
-                    r2 = wSS + 0.5 * (wff + wIJf)
-                    sup["g1"] = max(sup["g1"], calc.gnorm(lhs - r1))
-                    sup["g2"] = max(sup["g2"], calc.gnorm(lhs - r2))
-    return AuditReport(gauss_f_outside=sup["g1"], gauss_f_paired=sup["g2"],
-                       codazzi_plus=sup["c+"], codazzi_minus=sup["c-"],
-                       tolerance=tol)
+        values = (st.check_gauss(spec, point, ev),
+                  st.check_gauss(spec, point, ev, paired=True),
+                  st.check_codazzi(spec, point, ev),
+                  st.check_codazzi(spec, point, ev, sign=-1.0))
+        for key, val in zip(sup, values):
+            sup[key] = max(sup[key], val)
+    return AuditReport(**sup, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -69,17 +69,20 @@ def assemble_gram(g):
     return G
 
 
-def assemble_bundle_map(f, U, u, lam):
-    """Frame matrix of F: FX = fX + u(X) xi, F xi = U + lam xi, F xi_1,2 = +-xi_1,2."""
+def assemble_bundle_map(f, U, u, lam, unit=1.0):
+    """Frame matrix of F: FX = fX + u(X) xi, F xi = U + lam xi, F xi_1,2 = +-xi_1,2.
+
+    Affine in (f, U, u, lam), with the constant part carried by ``unit``
+    (zero for derivatives of F).
+    """
     n = f.shape[0]
-    N = n + 3
-    F = np.zeros((N, N))
+    F = np.zeros((n + 3, n + 3))
     F[:n, :n] = f
     F[n, :n] = u
     F[:n, n] = U
     F[n, n] = lam
-    F[n + 1, n + 1] = 1.0
-    F[n + 2, n + 2] = -1.0
+    F[n + 1, n + 1] = unit
+    F[n + 2, n + 2] = -unit
     return F
 
 
@@ -101,17 +104,6 @@ class ConnectionField:
     def gram(self, point):
         g, *_ = self.spec.connection_data_at(point)
         return assemble_gram(g)
-
-    def gram_derivatives(self, point, ev=None):
-        ev = ev or self.spec.eval_at(point)
-        n = self.n
-        dG = np.zeros((n, n + 3, n + 3))
-        dG[:, :n, :n] = ev.calc.dg
-        return dG
-
-    def bundle_map(self, point, ev=None):
-        ev = ev or self.spec.eval_at(point)
-        return assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
 
     def coefficient_derivatives(self, point, ev=None):
         """dA[p, i] = d_p A_i via the product rule on exact field derivatives."""
@@ -142,7 +134,8 @@ class ConnectionField:
         ev = ev or self.spec.eval_at(point)
         A = assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
         G = assemble_gram(ev.g)
-        dG = self.gram_derivatives(point, ev)
+        dG = np.zeros_like(A)
+        dG[:, :self.n, :self.n] = ev.calc.dg
         worst = 0.0
         for i in range(self.n):
             worst = max(worst, float(np.abs(dG[i] - A[i].T @ G - G @ A[i]).max()))
@@ -158,11 +151,7 @@ class ConnectionField:
         du = np.array([calc.dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(n)])
         worst = 0.0
         for i in range(n):
-            dF = np.zeros_like(F)
-            dF[:n, :n] = ev.df[i]
-            dF[n, :n] = du[i]
-            dF[:n, n] = ev.dU[i]
-            dF[n, n] = float(ev.dlam[i])
+            dF = assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i], 0.0)
             worst = max(worst, float(np.abs(dF + A[i] @ F - F @ A[i]).max()))
         return worst
 

@@ -20,8 +20,9 @@ Reports are line-oriented JSON (one record per grid point plus one final
 summary record) or CSV tables.  CSV column order: point coordinates, psi
 components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
-validation, 2 malformed input (including a --base outside the chart and a
-field expression that leaves its domain or overflows) or off-model data.
+validation, 2 malformed input (including a --base outside the chart, a
+--grid above 100 000 grid points in all and a field expression that
+leaves its domain or overflows) or off-model data.
 """
 
 import argparse
@@ -43,6 +44,11 @@ from . import structure as st
 
 class InputError(Exception):
     """Malformed input document or configuration (exit code 2)."""
+
+
+# largest grid in points, --grid to the power of the chart dimension; the
+# grid is materialized as a list of point tuples
+MAX_GRID_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +148,24 @@ def as_structure(obj, grid_density):
     return am.extract_structure(obj)
 
 
-def check_base(config, chart):
-    """Reject a --base override that is not a point of the chart box."""
+def load_checked_input(config):
+    """Load the input, then reject a --grid or --base that does not fit its
+    chart, before any grid is built."""
+    obj = load_input(config.input)
+    chart = obj.chart
+    points = config.grid ** chart.n
+    if points > MAX_GRID_POINTS:
+        raise InputError(f"--grid {config.grid} gives {points} points on this "
+                         f"{chart.n}-dimensional chart; the cap is "
+                         f"{MAX_GRID_POINTS}")
     base = config.base
-    if base is None:
-        return
-    if len(base) != chart.n:
+    if base is not None and len(base) != chart.n:
         raise InputError(f"--base has {len(base)} coordinates, "
                          f"the chart needs {chart.n}")
-    if not chart.contains(base):
+    if base is not None and not chart.contains(base):
         raise InputError(f"--base {base} lies outside the chart box "
                          f"{[list(iv) for iv in chart.box]}")
+    return obj
 
 
 def as_hypersurface(obj):
@@ -231,17 +244,15 @@ def _flatten_sample(chart, s):
 
 
 def cmd_check(config):
-    spec = as_structure(load_input(config.input), config.grid)
+    spec = as_structure(load_checked_input(config), config.grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     grid = spec.chart.grid(config.grid)
     report = st.admit(spec, grid=grid, tol=tol)
     records = []
-    for point in grid:
+    for point, per in zip(grid, report.per_point):
         rec = {f"point_{n}": float(v)
                for n, v in zip(spec.chart.coords, point)}
-        try:
-            per = st.point_residuals(spec, point)
-        except geo.SingularMetricError:
+        if per is None:
             rec["res_skipped"] = 1.0
         else:
             for key, val in per.items():
@@ -252,9 +263,7 @@ def cmd_check(config):
 
 
 def cmd_reconstruct(config):
-    obj = load_input(config.input)
-    check_base(config, obj.chart)
-    spec = as_structure(obj, config.grid)
+    spec = as_structure(load_checked_input(config), config.grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     admission = st.admit(spec, tol=tol, grid_density=config.grid)
     if not admission.admissible:
@@ -270,7 +279,7 @@ def cmd_reconstruct(config):
 
 
 def cmd_extract(config):
-    h = as_hypersurface(load_input(config.input))
+    h = as_hypersurface(load_checked_input(config))
     h.check_on_model(grid_density=config.grid)
     spec = am.extract_structure(h)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
@@ -285,8 +294,7 @@ def cmd_extract(config):
 
 
 def cmd_roundtrip(config):
-    h = as_hypersurface(load_input(config.input))
-    check_base(config, h.chart)
+    h = as_hypersurface(load_checked_input(config))
     h.check_on_model(grid_density=config.grid)
     spec = am.extract_structure(h)
     admission = st.admit(spec, grid_density=config.grid)
@@ -320,7 +328,7 @@ def cmd_roundtrip(config):
 
 
 def cmd_audit(config):
-    h = as_hypersurface(load_input(config.input))
+    h = as_hypersurface(load_checked_input(config))
     h.check_on_model(grid_density=config.grid)
     tol = config.tol if config.tol is not None else 1e-8
     report = am.audit_equations(h, tol=tol, grid_density=config.grid)

@@ -19,7 +19,7 @@ import numpy as np
 __all__ = [
     "Expr", "ExprError", "ParseError", "DomainError",
     "const", "var", "call", "neg", "add", "sub", "mul", "div", "powc",
-    "parse", "evaluate", "diff", "substitute", "to_str", "compile_exprs",
+    "parse", "evaluate", "diff", "to_str", "compile_exprs",
     "FUNCTIONS", "NAMED_CONSTANTS",
 ]
 
@@ -362,25 +362,6 @@ def diff(e, name):
     return d[id(e)]
 
 
-def substitute(e, mapping):
-    """Replace coordinates by expressions; ``mapping``: name -> Expr."""
-    out = {}
-    for node in postorder([e]):
-        if node.kind == "var" and node.value in mapping:
-            res = mapping[node.value]
-        elif node.kind == "const" or node.kind == "var":
-            res = node
-        elif node.kind == "call":
-            a = out[id(node.args[0])]
-            res = neg(a) if node.op == "neg" else call(node.op, a)
-        else:
-            a = out[id(node.args[0])]
-            b = out[id(node.args[1])]
-            res = {"+": add, "-": sub, "*": mul, "/": div, "^": powc}[node.op](a, b)
-        out[id(node)] = res
-    return out[id(e)]
-
-
 # precedence levels for printing
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
@@ -704,7 +685,10 @@ def compile_exprs(exprs, coords):
         return vals
 
     def batch(points):
-        points = np.asarray(points, dtype=float).reshape(-1, len(coords))
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != len(coords):
+            raise ValueError(f"points must have shape (P, {len(coords)}), "
+                             f"not {points.shape}")
         if len(points) == 1:
             # numpy's per-operation overhead exceeds the work of one point
             return np.array([compiled(points[0].tolist())])

@@ -74,16 +74,6 @@ class Chart:
         return [tuple(float(m[idx]) for m in mesh)
                 for idx in np.ndindex(*mesh[0].shape)]
 
-    def random_points(self, count, rng, margin=0.01):
-        pts = []
-        for _ in range(count):
-            pt = []
-            for lo, hi in self.box:
-                pad = margin * (hi - lo)
-                pt.append(rng.uniform(lo + pad, hi - pad))
-            pts.append(tuple(pt))
-        return pts
-
 
 def expr_matrix(rows, coords):
     """Parse a nested list of expression strings into an object array."""
@@ -94,11 +84,37 @@ def expr_matrix(rows, coords):
     return arr
 
 
-def diff_array(arr, coord):
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = ex.diff(arr[idx], coord)
+def derivatives(arr, coords):
+    """d[p, ...] = d_p arr[...] for each coordinate name in ``coords``."""
+    arr = np.asarray(arr, dtype=object)
+    out = np.empty((len(coords),) + arr.shape, dtype=object)
+    for p, name in enumerate(coords):
+        for idx in np.ndindex(arr.shape):
+            out[(p, *idx)] = ex.diff(arr[idx], name)
     return out
+
+
+def compile_fields(fields, coords):
+    """Compile named blocks of expressions into one field evaluator.
+
+    ``fields`` is a sequence of (name, object array) pairs, compiled with a
+    single ``compile_exprs`` call.  The evaluator maps points of shape
+    (P, n) to {name: array of shape (P, *block shape)}.
+    """
+    blocks = [(name, np.asarray(arr, dtype=object)) for name, arr in fields]
+    fn = ex.compile_exprs([e for _, arr in blocks for e in arr.ravel()], coords)
+
+    def evaluate(points):
+        vals = fn.batch(points)
+        out = {}
+        pos = 0
+        for name, arr in blocks:
+            out[name] = vals[:, pos:pos + arr.size].reshape(
+                (len(vals),) + arr.shape)
+            pos += arr.size
+        return out
+
+    return evaluate
 
 
 @dataclass
@@ -133,27 +149,15 @@ class MetricField:
 
     @cached_property
     def _evaluator(self):
-        n = self.chart.n
         coords = self.chart.coords
-        g = self.g
-        dg = np.empty((n, n, n), dtype=object)
-        for i, name in enumerate(coords):
-            dg[i] = diff_array(g, name)
-        ddg = np.empty((n, n, n, n), dtype=object)
-        for p, name in enumerate(coords):
-            for i in range(n):
-                ddg[p, i] = diff_array(dg[i], name)
-        flat = list(g.ravel()) + list(dg.ravel()) + list(ddg.ravel())
-        fn = ex.compile_exprs(flat, coords)
-        return fn, n
+        dg = derivatives(self.g, coords)
+        return compile_fields(
+            [("g", self.g), ("dg", dg), ("ddg", derivatives(dg, coords))],
+            coords)
 
     def calculus_at(self, point):
-        fn, n = self._evaluator
-        vals = np.array(fn(point))
-        g = vals[:n * n].reshape(n, n)
-        dg = vals[n * n:n * n + n ** 3].reshape(n, n, n)
-        ddg = vals[n * n + n ** 3:].reshape(n, n, n, n)
-        return calculus_from_values(point, g, dg, ddg)
+        v = self._evaluator([point])
+        return calculus_from_values(point, v["g"][0], v["dg"][0], v["ddg"][0])
 
 
 def check_positive_definite(g, point):
@@ -206,22 +210,12 @@ def riemann_from_values(gamma, dgamma):
     return d1 - d1.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
 
 
-def christoffels(metric, point):
-    """Gamma^m_ij of the Levi-Civita connection at ``point``."""
-    return metric.calculus_at(point).gamma
-
-
-def riemann(metric, point):
-    """Curvature components R^l_ijk at ``point`` (see module docstring)."""
-    return metric.calculus_at(point).riem
-
-
 def covariant_derivative_operator_field(T, metric, point, direction):
     """(nabla_i T)^a_b for a (1,1)-tensor field of expressions."""
     T = np.asarray(T, dtype=object)
     calc = metric.calculus_at(point)
     coords = metric.chart.coords
-    dT = diff_array(T, coords[direction])
+    dT = derivatives(T, coords[direction:direction + 1])[0]
     env = dict(zip(coords, point))
     dT_num = np.array([[ex.evaluate(dT[a, b], env) for b in range(T.shape[1])]
                        for a in range(T.shape[0])])

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bundle as bd
 from . import expr as ex
 from . import geometry as geo
 from .geometry import SingularMetricError
@@ -97,10 +98,6 @@ class StructureSpec:
     def n(self):
         return self.chart.n
 
-    @property
-    def metric(self):
-        return geo.MetricField(self.chart, self.g)
-
     @classmethod
     def from_strings(cls, chart, g, S, f, U, lam, declared_k=None):
         coords = chart.coords
@@ -115,88 +112,42 @@ class StructureSpec:
             declared_k,
         )
 
-    def _derivative_stack(self, arr):
-        out = [np.asarray(arr, dtype=object)]
-        for name in self.chart.coords:
-            out.append(geo.diff_array(np.asarray(arr, dtype=object), name))
-        return out
-
     @cached_property
     def _full_evaluator(self):
-        """Compiled batch: g, dg, ddg, S, dS, f, df, U, dU, lam, dlam."""
-        n = self.n
+        """Compiled g, dg, ddg, S, dS, f, df, U, dU, lam, dlam."""
         coords = self.chart.coords
-        pieces = []
-        g = self.g
-        dg = [geo.diff_array(g, c) for c in coords]
-        ddg = [geo.diff_array(dgi, c) for dgi in dg for c in coords]
-        pieces.append(("g", (n, n), list(g.ravel())))
-        pieces.append(("dg", (n, n, n), [e for m in dg for e in m.ravel()]))
-        # ddg built row-major as [i][p]: reorder to [p][i] at reshape time
-        flat_ddg = [e for m in ddg for e in m.ravel()]
-        pieces.append(("ddg_ip", (n, n, n, n), flat_ddg))
-        for name, arr in (("S", self.S), ("f", self.f)):
-            darr = [geo.diff_array(arr, c) for c in coords]
-            pieces.append((name, (n, n), list(arr.ravel())))
-            pieces.append(("d" + name, (n, n, n),
-                           [e for m in darr for e in m.ravel()]))
-        Uarr = self.U.reshape(1, n)
-        dU = [geo.diff_array(Uarr, c) for c in coords]
-        pieces.append(("U", (n,), list(Uarr.ravel())))
-        pieces.append(("dU", (n, n), [e for m in dU for e in m.ravel()]))
-        pieces.append(("lam", (), [self.lam]))
-        pieces.append(("dlam", (n,), [ex.diff(self.lam, c) for c in coords]))
-
-        flat = [e for _, _, chunk in pieces for e in chunk]
-        fn = ex.compile_exprs(flat, coords)
-        layout = [(name, shape, len(chunk)) for name, shape, chunk in pieces]
-        return fn, layout
+        dg = geo.derivatives(self.g, coords)
+        blocks = [("g", self.g), ("dg", dg), ("ddg", geo.derivatives(dg, coords))]
+        for name, arr in (("S", self.S), ("f", self.f), ("U", self.U),
+                          ("lam", self.lam)):
+            blocks += [(name, arr), ("d" + name, geo.derivatives(arr, coords))]
+        return geo.compile_fields(blocks, coords)
 
     def eval_at(self, point):
-        fn, layout = self._full_evaluator
-        vals = np.array(fn(point))
-        out = {}
-        pos = 0
-        for name, shape, size in layout:
-            out[name] = vals[pos:pos + size].reshape(shape)
-            pos += size
-        n = self.n
-        # ddg was emitted as [i, p, j, k]; calculus wants [p, i, j, k]
-        ddg = out["ddg_ip"].reshape(n, n, n, n).transpose(1, 0, 2, 3)
-        calc = geo.calculus_from_values(point, out["g"], out["dg"], ddg)
+        v = {name: arr[0] for name, arr in self._full_evaluator([point]).items()}
+        calc = geo.calculus_from_values(point, v["g"], v["dg"], v["ddg"])
         return StructureEval(
             point=tuple(point), calc=calc,
-            S=out["S"], dS=out["dS"], f=out["f"], df=out["df"],
-            U=out["U"], dU=out["dU"],
-            lam=float(out["lam"]), dlam=out["dlam"])
+            S=v["S"], dS=v["dS"], f=v["f"], df=v["df"],
+            U=v["U"], dU=v["dU"],
+            lam=float(v["lam"]), dlam=v["dlam"])
 
     @cached_property
     def _connection_evaluator(self):
-        """Compiled batch of the fields entering the bundle connection."""
-        n = self.n
+        """Compiled fields entering the bundle connection."""
         coords = self.chart.coords
-        dg = [geo.diff_array(self.g, c) for c in coords]
-        flat = (list(self.g.ravel())
-                + [e for m in dg for e in m.ravel()]
-                + list(self.S.ravel()) + list(self.f.ravel())
-                + list(self.U.ravel()))
-        fn = ex.compile_exprs(flat, coords)
-        return fn
+        return geo.compile_fields(
+            [("g", self.g), ("dg", geo.derivatives(self.g, coords)),
+             ("S", self.S), ("f", self.f), ("U", self.U)], coords)
 
     def connection_data_batch(self, points):
         """Stacked (g, gamma, S, f, u) at each of ``points``, shape (P, n)."""
-        n = self.n
         points = np.asarray(points, dtype=float)
-        vals = self._connection_evaluator.batch(points)
-        P = len(points)
-        g = vals[:, :n * n].reshape(P, n, n)
-        dg = vals[:, n * n:n * n + n ** 3].reshape(P, n, n, n)
-        S = vals[:, n * n + n ** 3:2 * n * n + n ** 3].reshape(P, n, n)
-        f = vals[:, 2 * n * n + n ** 3:3 * n * n + n ** 3].reshape(P, n, n)
-        U = vals[:, 3 * n * n + n ** 3:]
+        v = self._connection_evaluator(points)
+        g = v["g"]
         geo.check_positive_definite(g, points)
-        gamma = geo.christoffels_from_values(g, dg)
-        return g, gamma, S, f, np.einsum("pij,pj->pi", g, U)
+        gamma = geo.christoffels_from_values(g, v["dg"])
+        return g, gamma, v["S"], v["f"], np.einsum("pij,pj->pi", g, v["U"])
 
     def connection_data_at(self, point):
         """(g, gamma, S, f, u) needed to assemble connection coefficients."""
@@ -229,8 +180,12 @@ def _operator_defect(M, calc):
                for j in range(M.shape[1]))
 
 
-def check_gauss(spec, point, ev=None):
-    """Sup over basis triples of the Gauss-equation defect, in g-norm."""
+def check_gauss(spec, point, ev=None, paired=False):
+    """Sup over basis triples of the Gauss-equation defect, in g-norm.
+
+    The equation is R(X,Y)Z = (SX ^ SY)Z + (f((X^Y)Z) + (X^Y)fZ)/2; with
+    ``paired`` the variant with (fX ^ fY)Z in place of f((X^Y)Z).
+    """
     ev = ev or spec.eval_at(point)
     n = spec.n
     if n == 1:
@@ -244,15 +199,21 @@ def check_gauss(spec, point, ev=None):
             for k in range(n):
                 lhs = calc.riem[:, i, j, k]
                 wSS = geo.wedge(S[:, i], S[:, j], eye[:, k], g)
-                wIJ = geo.wedge(eye[:, i], eye[:, j], eye[:, k], g)
                 wIJf = geo.wedge(eye[:, i], eye[:, j], f[:, k], g)
-                rhs = wSS + 0.5 * (f @ wIJ + wIJf)
+                if paired:
+                    wf = geo.wedge(f[:, i], f[:, j], eye[:, k], g)
+                else:
+                    wf = f @ geo.wedge(eye[:, i], eye[:, j], eye[:, k], g)
+                rhs = wSS + 0.5 * (wf + wIJf)
                 worst = max(worst, calc.gnorm(lhs - rhs))
     return worst
 
 
-def check_codazzi(spec, point, ev=None):
-    """Sup over basis pairs of the Codazzi-equation defect, in g-norm."""
+def check_codazzi(spec, point, ev=None, sign=1.0):
+    """Sup over basis pairs of the Codazzi-equation defect, in g-norm.
+
+    The equation is (nabla_X S)Y - (nabla_Y S)X = sign (u(X)Y - u(Y)X)/2.
+    """
     ev = ev or spec.eval_at(point)
     n = spec.n
     if n == 1:
@@ -266,7 +227,7 @@ def check_codazzi(spec, point, ev=None):
         for j in range(i + 1, n):
             lhs = nabla[i][:, j] - nabla[j][:, i]
             rhs = 0.5 * (u[i] * eye[:, j] - u[j] * eye[:, i])
-            worst = max(worst, calc.gnorm(lhs - rhs))
+            worst = max(worst, calc.gnorm(lhs - sign * rhs))
     return worst
 
 
@@ -314,15 +275,9 @@ def determine_k(spec, point, ev=None, tol=1e-8):
 
 def eigen_multiplicity_k(ev, tol=1e-8):
     """Independent route to k: +1 eigenvalue count of F on span(TM, xi)."""
-    n = ev.S.shape[0]
-    V = np.zeros((n + 1, n + 1))
-    V[:n, :n] = ev.f
-    V[n, :n] = ev.u
-    V[:n, n] = ev.U
-    V[n, n] = ev.lam
-    gram = np.zeros((n + 1, n + 1))
-    gram[:n, :n] = ev.g
-    gram[n, n] = 1.0
+    m = ev.S.shape[0] + 1
+    V = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)[:m, :m]
+    gram = bd.assemble_gram(ev.g)[:m, :m]
     L = np.linalg.cholesky(gram)
     M = L.T @ V @ np.linalg.inv(L.T)
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
@@ -356,6 +311,8 @@ class CompatibilityReport:
     admissible: bool
     reasons: list = field(default_factory=list)
     skipped_points: list = field(default_factory=list)
+    # point_residuals of each grid point, None where skipped; not serialized
+    per_point: list = field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -379,46 +336,46 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
     worst = {key: None for key in RESIDUAL_KEYS}
     reasons = []
     skipped = []
+    per_point = []
+    traces = []             # (point, tr f + lambda) at each usable point
+    f_identity_everywhere = True
 
-    def point_result(point):
+    def record(key, val, point):
+        # the first point attaining each sup, also when the sup is 0
+        if worst[key] is None or val > sup[key]:
+            sup[key] = val
+            worst[key] = point
+
+    for point in grid:
         try:
             ev = spec.eval_at(point)
-        except SingularMetricError as exc:
-            return ("skip", point, str(exc))
-        per = point_residuals(spec, point, ev)
-        f_id = min(float(np.abs(ev.f - np.eye(n)).max()),
-                   float(np.abs(ev.f + np.eye(n)).max()))
-        return ("ok", point, per, trace_invariant(ev), f_id)
-
-    results = [point_result(point) for point in grid]
-    trace_values = []
-    f_identity_everywhere = True
-    for item in results:
-        if item[0] == "skip":
-            skipped.append(item[1])
+        except SingularMetricError:
+            skipped.append(point)
+            per_point.append(None)
             continue
-        _, point, per, trace_val, f_id = item
-        trace_values.append(trace_val)
-        if f_id > tol:
+        per = point_residuals(spec, point, ev)
+        per_point.append(per)
+        traces.append((point, trace_invariant(ev)))
+        if min(float(np.abs(ev.f - np.eye(n)).max()),
+               float(np.abs(ev.f + np.eye(n)).max())) > tol:
             f_identity_everywhere = False
         for key, val in per.items():
-            if val > sup[key]:
-                sup[key] = val
-                worst[key] = point
+            record(key, val, point)
 
-    if not trace_values:
+    if not traces:
         return CompatibilityReport(sup, worst, None, tol, False,
-                                   ["no usable grid points"], skipped)
+                                   ["no usable grid points"], skipped,
+                                   per_point)
 
     k = None
     try:
         k = determine_k(spec, grid[0], tol=max(tol, 1e-8))
     except (StructureError, SingularMetricError) as exc:
         reasons.append(str(exc))
-    target = (2 * k - n - 1) if k is not None else float(np.mean(trace_values))
-    k_res = max(abs(t - target) for t in trace_values)
-    sup["k_consistency"] = k_res
-    worst["k_consistency"] = None
+    target = ((2 * k - n - 1) if k is not None
+              else float(np.mean([t for _, t in traces])))
+    for point, t in traces:
+        record("k_consistency", abs(t - target), point)
 
     if f_identity_everywhere:
         reasons.append("excluded case f = +/-Id")
@@ -429,4 +386,5 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
         reasons.append(f"{len(skipped)} grid points skipped (singular metric)")
 
     admissible = not reasons and k is not None
-    return CompatibilityReport(sup, worst, k, tol, admissible, reasons, skipped)
+    return CompatibilityReport(sup, worst, k, tol, admissible, reasons, skipped,
+                               per_point)

@@ -287,6 +287,15 @@ def test_audit_separates_codazzi_signs(catalog_structures):
     assert not report.codazzi_indistinguishable
 
 
+@pytest.mark.parametrize("name", am.catalog_names())
+def test_audit_uses_the_admission_equations(name, catalog_structures):
+    h, spec = catalog_structures[name]
+    audit = am.audit_equations(h, grid_density=3)
+    report = st.admit(spec, grid_density=3)
+    assert audit.gauss_f_outside == report.residuals["C2_gauss"]
+    assert audit.codazzi_plus == report.residuals["C3_codazzi"]
+
+
 def test_catalog_aliases():
     assert am.catalog_entry("tilted_slice").name == "diagonal_cylinder"
     with pytest.raises(am.AmbientError, match="unknown catalog entry"):

@@ -54,6 +54,16 @@ def test_check_catalog_admissible(capsys):
     assert all(rec["res_C2_gauss"] < 1e-8 for rec in records)
 
 
+def test_check_reports_real_worst_points_for_zero_sups(capsys):
+    code, out, _ = run(capsys, "check", "catalog:geodesic_slice", "--grid", "3")
+    records, summary = parse_jsonl(out)
+    first = [records[0]["point_u1"], records[0]["point_u2"]]
+    for key, worst in summary["worst_points"].items():
+        assert worst is not None
+        if summary["residuals"][key] == 0.0:
+            assert worst == first
+
+
 def test_check_structure_document(capsys, tmp_path):
     path = write_doc(tmp_path, flat_slice_doc())
     code, out, _ = run(capsys, "check", path, "--grid", "3")
@@ -110,7 +120,10 @@ def test_expression_overflow_exits_2(capsys, tmp_path):
     assert "at (-0.882, -0.882)" in err
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+COMMANDS = ["check", "reconstruct", "extract", "roundtrip", "audit"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("base,message", [
     ("0.1", "has 1 coordinates"),
     ("0.1,0.2,0.3", "has 3 coordinates"),
@@ -121,6 +134,19 @@ def test_bad_base_exits_2(capsys, command, base, message):
                        "--grid", "2", "--base", base)
     assert code == 2
     assert err.startswith("error: --base") and message in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("source,grid,points", [
+    ("catalog:geodesic_slice_n3", "100000", 10 ** 15),
+    ("catalog:diagonal_geodesic", "100001", 100001),
+])
+def test_grid_above_point_cap_exits_2(capsys, command, source, grid, points):
+    code, out, err = run(capsys, command, source, "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --grid {grid} gives {points} points")
+    assert f"the cap is {cli.MAX_GRID_POINTS}" in err
 
 
 def test_base_inside_chart_accepted(capsys):

@@ -116,6 +116,53 @@ def test_covariant_derivative_of_identity_vanishes():
         assert np.abs(out).max() == 0.0
 
 
+def test_compile_fields_matches_evaluate(rng):
+    coords = ("u1", "u2")
+    matrix = geo.expr_matrix([["2 + sin(u1)*cos(u2)", "u1*u2/4"],
+                              ["u1*u2/4", "log(2 + u1^2)"]], coords)
+    derivative = geo.derivatives(matrix, coords)
+    for p, name in enumerate(coords):
+        for idx in np.ndindex(matrix.shape):
+            assert derivative[(p, *idx)] is ex.diff(matrix[idx], name)
+    fields = [
+        ("d_matrix", derivative),
+        ("scalar", ex.parse("exp(u1*u2)", coords)),
+        ("vector", np.array([ex.parse(t, coords) for t in
+                             ("sin(u1)", "u1^3*u2", "1/(2 + cos(u2))")])),
+        ("matrix", matrix),
+    ]
+    evaluate = geo.compile_fields(fields, coords)
+    points = rng.uniform(-1.0, 1.0, (7, 2))
+    for pts in (points, points[:1]):
+        out = evaluate(pts)
+        assert list(out) == [name for name, _ in fields]
+        for name, arr in fields:
+            arr = np.asarray(arr, dtype=object)
+            assert out[name].shape == (len(pts),) + arr.shape
+            for j, point in enumerate(pts):
+                env = dict(zip(coords, point))
+                for idx in np.ndindex(arr.shape):
+                    assert out[name][(j, *idx)] == pytest.approx(
+                        ex.evaluate(arr[idx], env), rel=1e-13, abs=1e-15)
+
+
+def test_compile_fields_domain_error_names_point():
+    coords = ("u1",)
+    evaluate = geo.compile_fields(
+        [("v", np.array([ex.parse("log(u1)", coords)]))], coords)
+    for points in ([[0.5], [-0.5], [-0.25]], [[-0.5]]):
+        with pytest.raises(ex.DomainError, match=r"at \(-0\.5,\)"):
+            evaluate(points)
+
+
+def test_compile_fields_rejects_points_of_wrong_length():
+    coords = ("u1", "u2")
+    evaluate = geo.compile_fields([("v", ex.parse("u1*u2", coords))], coords)
+    for points in ([(0.1, 0.2, 0.3, 0.4)], [0.1, 0.2], [(0.1,), (0.2,)]):
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(points)
+
+
 def test_wedge_identities(rng):
     g = np.array([[2.0, 0.3], [0.3, 1.5]])
     for _ in range(10):

@@ -155,6 +155,27 @@ def test_singular_grid_points_are_skipped_and_reported():
     assert not report.admissible
     assert report.skipped_points
     assert any("skipped" in r for r in report.reasons)
+    skipped = [p for p, per in zip(spec.chart.grid(4), report.per_point)
+               if per is None]
+    assert skipped == report.skipped_points
+
+
+@pytest.mark.parametrize("name", ["geodesic_slice", "diagonal_cylinder"])
+def test_worst_points_are_first_points_attaining_each_sup(
+        name, catalog_structures):
+    _, spec = catalog_structures[name]
+    grid = spec.chart.grid(3)
+    report = st.admit(spec, grid=grid)
+    assert "per_point" not in report.to_dict()
+    assert len(report.per_point) == len(grid)
+    for key in st.RESIDUAL_KEYS[:-1]:
+        values = [per[key] for per in report.per_point]
+        at = values.index(report.residuals[key])
+        assert report.worst_points[key] == grid[at]
+    target = 2 * report.k - spec.n - 1
+    devs = [abs(st.trace_invariant(spec.eval_at(p)) - target) for p in grid]
+    assert report.residuals["k_consistency"] == max(devs)
+    assert report.worst_points["k_consistency"] == grid[devs.index(max(devs))]
 
 
 def test_eval_at_exposes_exact_derivatives(catalog_structures):
