@@ -21,8 +21,9 @@ summary record) or CSV tables.  CSV column order: point coordinates, psi
 components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
 validation, 2 malformed input (including a --base outside the chart, a
---grid above 100 000 grid points in all and a field expression that
-leaves its domain or overflows) or off-model data.
+--grid above 100 000 grid points in all, an --out that cannot be written
+and a field expression that leaves its domain or overflows) or off-model
+data.
 """
 
 import argparse
@@ -140,11 +141,13 @@ def load_input(source):
     return load_document(doc)
 
 
-def as_structure(obj, grid_density):
-    """Structure view of an input: extract when given a hypersurface."""
+def as_structure(obj, grid_density=8, grid=None):
+    """Structure view of an input: extract when given a hypersurface, after
+    checking it on-model over ``grid`` (default: the chart grid of
+    ``grid_density``)."""
     if isinstance(obj, st.StructureSpec):
         return obj
-    obj.check_on_model(grid_density=grid_density)
+    obj.check_on_model(grid=grid, grid_density=grid_density)
     return am.extract_structure(obj)
 
 
@@ -180,15 +183,18 @@ def as_hypersurface(obj):
 
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise InputError(f"cannot write report {path}: {err}") from None
 
 
 def _jsonl(records, summary):
@@ -244,9 +250,10 @@ def _flatten_sample(chart, s):
 
 
 def cmd_check(config):
-    spec = as_structure(load_checked_input(config), config.grid)
+    obj = load_checked_input(config)
+    grid = obj.chart.grid(config.grid)
+    spec = as_structure(obj, grid=grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
-    grid = spec.chart.grid(config.grid)
     report = st.admit(spec, grid=grid, tol=tol)
     records = []
     for point, per in zip(grid, report.per_point):
@@ -263,16 +270,17 @@ def cmd_check(config):
 
 
 def cmd_reconstruct(config):
-    spec = as_structure(load_checked_input(config), config.grid)
+    obj = load_checked_input(config)
+    grid = obj.chart.grid(config.grid)
+    spec = as_structure(obj, grid=grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
-    admission = st.admit(spec, tol=tol, grid_density=config.grid)
+    admission = st.admit(spec, grid=grid, tol=tol)
     if not admission.admissible:
         emit(config, [], {"admissible": False,
                           "reasons": admission.reasons})
         return 1
     report = rc.validate_theorem(
-        spec, base=config.base, step=config.step,
-        grid_density=config.grid, admission=admission)
+        spec, grid, base=config.base, step=config.step, admission=admission)
     records = [_flatten_sample(spec.chart, s) for s in report.samples]
     emit(config, records, report.to_dict())
     return 0 if report.valid else 1
@@ -280,12 +288,11 @@ def cmd_reconstruct(config):
 
 def cmd_extract(config):
     h = as_hypersurface(load_checked_input(config))
-    h.check_on_model(grid_density=config.grid)
-    spec = am.extract_structure(h)
+    grid = h.chart.grid(config.grid)
+    spec = as_structure(h, grid=grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
-    report = st.admit(spec, tol=tol, grid_density=config.grid)
-    points = spec.chart.grid(config.grid)
-    samples = am.hypersurface_samples(h, points)
+    report = st.admit(spec, grid=grid, tol=tol)
+    samples = am.hypersurface_samples(h, grid)
     for s in samples:
         s.residuals["on_model"] = h.model.on_model_residual(s.psi)
     records = [_flatten_sample(spec.chart, s) for s in samples]
@@ -295,16 +302,15 @@ def cmd_extract(config):
 
 def cmd_roundtrip(config):
     h = as_hypersurface(load_checked_input(config))
-    h.check_on_model(grid_density=config.grid)
-    spec = am.extract_structure(h)
-    admission = st.admit(spec, grid_density=config.grid)
+    grid = h.chart.grid(config.grid)
+    spec = as_structure(h, grid=grid)
+    admission = st.admit(spec, grid=grid)
     if not admission.admissible:
         emit(config, [], {"admissible": False, "reasons": admission.reasons})
         return 1
-    points = spec.chart.grid(config.grid)
-    _, rebuilt = rc.immerse(spec, points, base=config.base, step=config.step,
+    _, rebuilt = rc.immerse(spec, grid, base=config.base, step=config.step,
                             k=admission.k)
-    reference = am.hypersurface_samples(h, points)
+    reference = am.hypersurface_samples(h, grid)
     cong = am.solve_congruence(rebuilt, reference, admission.k)
     tol = config.tol if config.tol is not None else 1e-6
     records = []
@@ -329,9 +335,10 @@ def cmd_roundtrip(config):
 
 def cmd_audit(config):
     h = as_hypersurface(load_checked_input(config))
-    h.check_on_model(grid_density=config.grid)
+    grid = h.chart.grid(config.grid)
+    h.check_on_model(grid=grid)
     tol = config.tol if config.tol is not None else 1e-8
-    report = am.audit_equations(h, tol=tol, grid_density=config.grid)
+    report = am.audit_equations(h, grid=grid, tol=tol)
     emit(config, [], report.to_dict())
     return 0
 
@@ -394,6 +401,13 @@ def validate_config(config):
         raise InputError("grid density must be >= 2")
     if not 0.0 < config.step <= 0.1:
         raise InputError("step must lie in (0, 0.1]")
+    if config.out:
+        out = os.path.abspath(config.out)
+        if os.path.isdir(out):
+            raise InputError(f"--out {config.out} is a directory")
+        if not os.path.isdir(os.path.dirname(out)):
+            raise InputError(f"--out {config.out}: its directory does not "
+                             f"exist")
 
 
 def main(argv=None):

@@ -11,8 +11,8 @@ as cross-checks in the test suite.
 """
 
 import math
+import operator
 import re
-import types
 
 import numpy as np
 
@@ -100,7 +100,8 @@ _interned = {}
 
 
 def _mk(kind, op, args, value):
-    key = (kind, op, tuple(id(a) for a in args), value)
+    # nodes hash and compare by identity, so args stands for its children
+    key = (kind, op, args, value)
     node = _interned.get(key)
     if node is None:
         node = Expr(kind, op, args, value)
@@ -257,14 +258,12 @@ def postorder(roots):
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for child in node.args:
-            if id(child) not in seen:
-                stack.append((child, False))
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for child in node.args:
+                if child not in seen:
+                    stack.append((child, False))
     return order
 
 
@@ -305,22 +304,26 @@ _diff_cache = {}
 
 def diff(e, name):
     """Exact derivative of ``e`` with respect to coordinate ``name``."""
-    cached = _diff_cache.get((id(e), name))
-    if cached is not None:
-        return cached
-    d = {}
-    for node in postorder([e]):
-        key = (id(node), name)
+    # depth-first, descending only into children not yet differentiated
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = (node, name)
         if key in _diff_cache:
-            d[id(node)] = _diff_cache[key]
             continue
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.args
+                         if (child, name) not in _diff_cache)
+            continue
+        d = [_diff_cache[child, name] for child in node.args]
         if node.kind == "const":
             res = ZERO
         elif node.kind == "var":
             res = ONE if node.value == name else ZERO
         elif node.kind == "call":
             a = node.args[0]
-            da = d[id(a)]
+            da, = d
             op = node.op
             if op == "neg":
                 res = neg(da)
@@ -344,22 +347,21 @@ def diff(e, name):
                 res = div(da, mul(const(2), node))
         else:
             a, b = node.args
-            da = d[id(a)]
+            da, db = d
             op = node.op
             if op == "+":
-                res = add(da, d[id(b)])
+                res = add(da, db)
             elif op == "-":
-                res = sub(da, d[id(b)])
+                res = sub(da, db)
             elif op == "*":
-                res = add(mul(da, b), mul(a, d[id(b)]))
+                res = add(mul(da, b), mul(a, db))
             elif op == "/":
-                res = div(sub(mul(da, b), mul(a, d[id(b)])), mul(b, b))
+                res = div(sub(mul(da, b), mul(a, db)), mul(b, b))
             else:  # ^ with constant exponent
                 c = b.value
                 res = mul(mul(b, powc(a, const(c - 1.0))), da)
-        d[id(node)] = res
         _diff_cache[key] = res
-    return d[id(e)]
+    return _diff_cache[e, name]
 
 
 # precedence levels for printing
@@ -543,15 +545,17 @@ def parse(text, coords=()):
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation of expression batches (one straight-line function
-# over the shared DAG; used for grid sweeps and ODE right-hand sides)
+# compiled evaluation: one instruction tape over the shared DAG, run on
+# floats or on numpy arrays (grid sweeps, ODE right-hand sides)
 
-_COMPILE_GLOBALS = {
+_SCALAR_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "neg": operator.neg, "ipow": operator.pow,     # integral exponent
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "_log": lambda x: _apply_unary("log", x),
-    "_sqrt": lambda x: _apply_unary("sqrt", x),
-    "_div": _apply_div, "_pow": _apply_pow,
+    "exp": math.exp, "log": lambda x: _apply_unary("log", x),
+    "sqrt": lambda x: _apply_unary("sqrt", x),
+    "/": _apply_div, "^": _apply_pow,
 }
 
 
@@ -586,95 +590,95 @@ def _np_pow(b, c):
     return np.exp(c * np.log(b))
 
 
-_NP_GLOBALS = {
+_NP_OPS = {
+    **_SCALAR_OPS,
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "exp": np.exp, "_log": _np_log, "_sqrt": _np_sqrt,
-    "_div": _np_div, "_pow": _np_pow,
+    "exp": np.exp, "log": _np_log, "sqrt": _np_sqrt,
+    "/": _np_div, "^": _np_pow,
 }
 
 
 def compile_exprs(exprs, coords):
     """Compile a batch of expressions into one function point -> list[float].
 
-    The generated function evaluates each unique DAG node exactly once.  Its
-    ``batch`` attribute runs the same code over numpy arrays: points of
-    shape (P, len(coords)) -> values of shape (P, len(exprs)), row j equal
-    to the function at points[j].  Both raise DomainError naming the point
-    where a value leaves the domain, overflows or is not finite.
+    The function runs an instruction tape that evaluates each unique DAG
+    node exactly once.  Its ``batch`` attribute runs the same tape over
+    numpy arrays: points of shape (P, len(coords)) -> values of shape
+    (P, len(exprs)), row j equal to the function at points[j].  Both raise
+    DomainError naming the point where a value leaves the domain, overflows
+    or is not finite.
     """
     exprs = list(exprs)
+    n = len(coords)
     order = postorder(exprs)
+    # register slots: the coordinates, then the constants (const nodes and
+    # integral exponents), then the temporaries
+    pool = {}
+    for node in order:
+        if node.kind == "const":
+            pool[node] = node.value
+        elif node.op == "^":
+            c = node.args[1].value
+            if c != 2.0 and float(c).is_integer() and 0 <= c <= 64:
+                pool[int, c] = int(c)
+    slot = {key: n + i for i, key in enumerate(pool)}
     # a temporary is free for reuse after its last reader, so a batch keeps
     # only the live values in memory; results stay live until the return
-    last_read = {}
-    for pos, node in enumerate(order):
-        for child in node.args:
-            last_read[id(child)] = pos
-    for e in exprs:
-        last_read[id(e)] = len(order)
-    name = {}
+    last_read = {child: pos for pos, node in enumerate(order)
+                 for child in node.args}
+    last_read.update((e, len(order)) for e in exprs)
+    first_temp = size = n + len(pool)
     free = []
-    lines = []
-    counter = 0
+    tape = []       # (op, out, a, b); b is -1 for a unary op
     for pos, node in enumerate(order):
-        if node.kind == "const":
-            name[id(node)] = _fmt_literal(node.value)
+        args = node.args
+        if not args:
+            if node.kind == "var":
+                if node.value not in coords:
+                    raise ExprError(f"unbound coordinate {node.value!r}")
+                slot[node] = coords.index(node.value)
             continue
-        if node.kind == "var":
-            if node.value not in coords:
-                raise ExprError(f"unbound coordinate {node.value!r}")
-            name[id(node)] = f"_c{coords.index(node.value)}"
-            continue
-        operands = [name[id(a)] for a in node.args]
-        for child in dict.fromkeys(node.args):
-            if last_read[id(child)] == pos and name[id(child)].startswith("_t"):
-                free.append(name[id(child)])
-        if free:
-            nm = free.pop()
-        else:
-            nm = f"_t{counter}"
-            counter += 1
-        if node.kind == "call":
-            a, = operands
-            if node.op == "neg":
-                lines.append(f"{nm} = -{a}")
-            elif node.op in ("log", "sqrt"):
-                lines.append(f"{nm} = _{node.op}({a})")
-            else:
-                lines.append(f"{nm} = {node.op}({a})")
-        else:
-            a, b = operands
-            if node.op == "/":
-                lines.append(f"{nm} = _div({a}, {b})")
-            elif node.op == "^":
-                c = node.args[1].value
-                if c == 2.0:
-                    lines.append(f"{nm} = {a} * {a}")
-                elif float(c).is_integer() and 0 <= c <= 64:
-                    lines.append(f"{nm} = {a} ** {int(c)}")
-                else:
-                    lines.append(f"{nm} = _pow({a}, {b})")
-            else:
-                lines.append(f"{nm} = {a} {node.op} {b}")
-        name[id(node)] = nm
+        a = slot[args[0]]
+        b = slot[args[1]] if len(args) == 2 else -1
+        for child in args:
+            if last_read[child] == pos:
+                last_read[child] = -1       # a child read twice frees once
+                if slot[child] >= first_temp:
+                    free.append(slot[child])
+        out = free.pop() if free else size
+        size = max(size, out + 1)
+        op = node.op
+        if op == "^":
+            c = args[1].value
+            if c == 2.0:
+                op, b = "*", a
+            elif (int, c) in slot:
+                op, b = "ipow", slot[int, c]
+        tape.append((op, out, a, b))
+        slot[node] = out
+    results = [slot[e] for e in exprs]
+    template = [None] * n + list(pool.values()) + [None] * (size - first_temp)
+    # the tape bound to each op table, so the loop calls without a lookup
+    scalar_steps, vector_steps = (
+        [(ops[op], out, a, b) for op, out, a, b in tape]
+        for ops in (_SCALAR_OPS, _NP_OPS))
 
-    unpack = ", ".join(f"_c{i}" for i in range(len(coords))) or "_unused"
-    body = ["def _compiled(_point):"]
-    if coords:
-        body.append(f"    {unpack}, = _point" if len(coords) == 1
-                    else f"    {unpack} = _point")
-    body.extend("    " + ln for ln in lines)
-    result = ", ".join(name[id(e)] for e in exprs)
-    body.append(f"    return [{result}]" if exprs else "    return []")
-    namespace = dict(_COMPILE_GLOBALS)
-    exec("\n".join(body), namespace)  # noqa: S102 - generated from our own AST
-    scalar = namespace["_compiled"]
-    vector = types.FunctionType(scalar.__code__, _NP_GLOBALS)
+    def run(point, steps):
+        regs = template.copy()
+        regs[:n] = point
+        if len(regs) != size:
+            raise ValueError(f"point must have {n} coordinates")
+        for fn, out, a, b in steps:
+            if b < 0:
+                regs[out] = fn(regs[a])
+            else:
+                regs[out] = fn(regs[a], regs[b])
+        return [regs[i] for i in results]
 
     def compiled(point):
         try:
-            vals = scalar(point)
+            vals = run(point, scalar_steps)
         except OverflowError as exc:
             raise DomainError(
                 f"overflow ({exc}) at {_point_text(point)}") from None
@@ -686,8 +690,8 @@ def compile_exprs(exprs, coords):
 
     def batch(points):
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != len(coords):
-            raise ValueError(f"points must have shape (P, {len(coords)}), "
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValueError(f"points must have shape (P, {n}), "
                              f"not {points.shape}")
         if len(points) == 1:
             # numpy's per-operation overhead exceeds the work of one point
@@ -695,7 +699,7 @@ def compile_exprs(exprs, coords):
         out = np.empty((len(points), len(exprs)))
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for i, v in enumerate(vector(points.T)):
+                for i, v in enumerate(run(points.T, vector_steps)):
                     out[:, i] = v
         except (DomainError, FloatingPointError):
             pass
@@ -713,9 +717,3 @@ def compile_exprs(exprs, coords):
 
 def _point_text(point):
     return str(tuple(float(x) for x in point))
-
-
-def _fmt_literal(v):
-    if v == int(v) and abs(v) < 1e16:
-        return f"{repr(int(v))}.0"
-    return repr(v)

@@ -273,8 +273,9 @@ def determine_k(spec, point, ev=None, tol=1e-8):
     return k
 
 
-def eigen_multiplicity_k(ev, tol=1e-8):
-    """Independent route to k: +1 eigenvalue count of F on span(TM, xi)."""
+def eigen_multiplicity_k(ev, tol=1e-6):
+    """Independent route to k: +1 eigenvalue count of F on span(TM, xi),
+    whose eigenvalues must lie within ``tol`` of +/-1."""
     m = ev.S.shape[0] + 1
     V = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)[:m, :m]
     gram = bd.assemble_gram(ev.g)[:m, :m]
@@ -282,7 +283,7 @@ def eigen_multiplicity_k(ev, tol=1e-8):
     M = L.T @ V @ np.linalg.inv(L.T)
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     plus = int(np.sum(w > 0.0))
-    if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
+    if np.any(np.abs(np.abs(w) - 1.0) > tol):
         raise StructureError(f"F eigenvalues not +/-1: {w}")
     return plus
 

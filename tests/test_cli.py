@@ -249,6 +249,33 @@ def test_out_file_overwritten_atomically(capsys, tmp_path):
     assert json.loads(out.strip())["summary"] is True
 
 
+@pytest.mark.parametrize("out", ["missing/r.jsonl", "."])
+def test_unwritable_out_exits_2_before_work(capsys, tmp_path, out):
+    # a file in a missing directory, and a directory
+    out = tmp_path / out
+    code, stdout, err = run(capsys, "check", "catalog:geodesic_slice",
+                            "--grid", "3", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: --out") and "Traceback" not in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_write_failure_exits_2(capsys, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise IsADirectoryError(21, "Is a directory", dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "r.jsonl"
+    code, _, err = run(capsys, "check", "catalog:geodesic_slice",
+                       "--grid", "2", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: cannot write report")
+    assert "Traceback" not in err
+    # the temporary report file is removed again
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_csv_format_column_order(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "reconstruct", "catalog:diagonal_geodesic",

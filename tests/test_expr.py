@@ -188,3 +188,56 @@ def test_sum_rule(x, y):
     env = {"u1": x, "u2": y}
     assert ex.evaluate(lhs, env) == pytest.approx(ex.evaluate(rhs, env),
                                                   rel=1e-12, abs=1e-12)
+
+
+def _agree_everywhere(exprs, points):
+    """fn(point), fn.batch and ex.evaluate give the same values."""
+    fn = ex.compile_exprs(exprs, COORDS)
+    got = fn.batch(points)
+    assert got.shape == (len(points), len(exprs))
+    for row, point in zip(got, points):
+        env = dict(zip(COORDS, point))
+        want = [ex.evaluate(e, env) for e in exprs]
+        assert fn(point) == pytest.approx(want, rel=1e-14, abs=1e-300)
+        assert list(row) == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+def test_aliased_outputs_keep_their_values(rng):
+    # registers are reused after a value's last read; an output must never
+    # be overwritten, whether repeated, read by a later output, or a leaf
+    u1, u2 = ex.var("u1"), ex.var("u2")
+    inner = ex.call("sin", u1)
+    prod = ex.mul(inner, u2)
+    later = ex.add(ex.mul(prod, prod), ex.call("cos", prod))
+    exprs = [prod, later, prod, u2, ex.const(-1.5), inner, later, u1]
+    _agree_everywhere(exprs, _random_points(9, rng))
+
+
+@pytest.mark.parametrize("expo", [2, 3, 64, 65, -1, -2, 0.5])
+def test_constant_exponents(expo, rng):
+    base = ex.parse("1.5 + sin(u1)*u2", COORDS)
+    e = ex.powc(base, expo)
+    exprs = [e, ex.diff(e, "u1"), ex.add(e, ex.var("u2"))]
+    _agree_everywhere(exprs, _random_points(7, rng, -1.0, 1.0))
+
+
+def test_deep_chain_builds_evaluates_and_differentiates(rng):
+    u1, u2 = ex.var("u1"), ex.var("u2")
+    x = u1
+    for i in range(5000):
+        x = ex.call("sin", x) if i % 2 == 0 else ex.add(ex.mul(x, u2), u1)
+    e = ex.add(x, ex.mul(u1, x))
+    exprs = [e, ex.diff(e, "u1"), ex.diff(ex.diff(e, "u1"), "u2")]
+    _agree_everywhere(exprs, _random_points(3, rng, -0.5, 0.5))
+
+
+def test_derivative_nodes_do_not_depend_on_memo_order(monkeypatch):
+    e = ex.parse("exp(sin(u1)*u2)/(2 + cos(u1*u2)) + sqrt(2 + u1^2)^3",
+                 COORDS)
+    sub = e.args[0]
+    monkeypatch.setattr(ex, "_diff_cache", {})
+    fresh = [ex.diff(e, c) for c in COORDS]
+    monkeypatch.setattr(ex, "_diff_cache", {})
+    ex.diff(sub, "u1")
+    ex.diff(ex.diff(sub, "u2"), "u1")
+    assert all(ex.diff(e, c) is d for c, d in zip(COORDS, fresh))

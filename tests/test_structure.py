@@ -1,5 +1,6 @@
 """Admission of structure quintuples against the compatibility equations."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -134,6 +135,18 @@ def test_trace_identity_and_k(name, catalog_structures):
         assert st.determine_k(spec, point, ev) == k
         # independent route: +1 eigenvalue multiplicity of F on span(TM, xi)
         assert st.eigen_multiplicity_k(ev) == k
+
+
+# entries whose f is far from 0, so scaling it moves the eigenvalues off +/-1
+@pytest.mark.parametrize("name", ["geodesic_slice", "sphere_slice",
+                                  "geodesic_slice_n3"])
+def test_eigen_multiplicity_k_reads_its_tolerance(name, catalog_structures):
+    _, spec = catalog_structures[name]
+    ev = spec.eval_at(spec.chart.base_point)
+    off = dataclasses.replace(ev, f=ev.f * 1.01)
+    with pytest.raises(st.StructureError, match="not \\+/-1"):
+        st.eigen_multiplicity_k(off)
+    assert st.eigen_multiplicity_k(off, tol=0.1) == TRACE_TARGETS[name][1]
 
 
 def test_declared_k_mismatch_rejected(catalog_structures):
