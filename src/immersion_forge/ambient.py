@@ -59,11 +59,12 @@ class AmbientModel:
 
     def c1(self, x):
         s = self.k + 1
-        return float(np.dot(x[:s], x[:s]) - 1.0)
+        return geo.dot(x[..., :s], x[..., :s]) - 1.0
 
     def c2(self, x):
         s = self.k + 1
-        return float(np.dot(x[s:-1], x[s:-1]) - x[-1] * x[-1] + 1.0)
+        return (geo.dot(x[..., s:-1], x[..., s:-1])
+                - x[..., -1] * x[..., -1] + 1.0)
 
     def xi1(self, x):
         out = np.zeros(self.dim)
@@ -82,7 +83,8 @@ class AmbientModel:
         return np.diag(d)
 
     def on_model_residual(self, x):
-        return max(abs(self.c1(x)), abs(self.c2(x)))
+        """max(|c1|, |c2|); x may carry leading point axes, as may c1, c2."""
+        return np.maximum(np.abs(self.c1(x)), np.abs(self.c2(x)))
 
     def tangency_residual(self, x, v):
         return max(abs(self.inner(v, self.xi1(x))),
@@ -196,22 +198,28 @@ class ParametrizedHypersurface:
         return self._fields()
 
     def check_on_model(self, grid=None, tol=1e-10, grid_density=8):
-        """Raise unless the image stays on the model with rank-n jacobian."""
+        """Raise unless the image stays on the model with rank-n jacobian.
+
+        The error names the first failing grid point; at that point the
+        residual is tested first, then the sheet, then the rank.
+        """
         if grid is None:
             grid = self.chart.grid(grid_density)
         worst = 0.0
-        for point in grid:
-            vals = self._sample_evaluator([point])
-            x = vals["x"][0]
+        for start, chunk in geo.grid_chunks(grid):
+            vals = self._sample_evaluator(chunk)
+            x = vals["x"]
             res = self.model.on_model_residual(x)
-            worst = max(worst, res)
-            if res > tol:
-                raise NotOnModelError(
-                    f"not on model at {point}: residual {res:.3e}")
-            if x[-1] <= 0.0:
-                raise NotOnModelError(f"lower hyperboloid sheet at {point}")
-            if np.linalg.matrix_rank(vals["dx"][0], tol=1e-10) < self.n:
-                raise NotOnModelError(f"jacobian rank defect at {point}")
+            checks = ((res > tol, "not on model at {}: residual {:.3e}"),
+                      (x[:, -1] <= 0.0, "lower hyperboloid sheet at {}"),
+                      (np.linalg.matrix_rank(vals["dx"], tol=1e-10) < self.n,
+                       "jacobian rank defect at {}"))
+            bad = np.flatnonzero(np.any([fails for fails, _ in checks], 0))
+            if len(bad):
+                j = bad[0]
+                text = next(text for fails, text in checks if fails[j])
+                raise NotOnModelError(text.format(grid[start + j], res[j]))
+            worst = max(worst, float(res.max()))
         return worst
 
     @cached_property
@@ -247,11 +255,6 @@ class ParametrizedHypersurface:
     @cached_property
     def _psi_evaluator(self):
         return self._fields(("nu", np.array(self.normal_exprs, dtype=object)))
-
-    def sample(self, point):
-        """Position, jacobian and unit normal at a point (numeric)."""
-        vals = self._psi_evaluator([point])
-        return vals["x"][0], vals["dx"][0], vals["nu"][0]
 
 
 def extract_structure(h):
@@ -323,10 +326,12 @@ def hypersurface_samples(h, points):
     from .reconstruct import ImmersionSample
 
     out = []
-    for point in points:
-        x, dx, nu = h.sample(point)
-        out.append(ImmersionSample(point=tuple(point), psi=x, normal=nu,
-                                   dpsi=dx, residuals={}))
+    for start, chunk in geo.grid_chunks(points):
+        vals = h._psi_evaluator(chunk)
+        out += [ImmersionSample(point=tuple(point), psi=x, normal=nu, dpsi=dx,
+                                residuals={})
+                for point, x, dx, nu in zip(points[start:start + len(chunk)],
+                                            vals["x"], vals["dx"], vals["nu"])]
     return out
 
 
@@ -452,14 +457,14 @@ def audit_equations(h, grid=None, tol=1e-8, grid_density=8):
         grid = spec.chart.grid(grid_density)
     sup = dict.fromkeys(("gauss_f_outside", "gauss_f_paired",
                          "codazzi_plus", "codazzi_minus"), 0.0)
-    for point in grid:
-        ev = spec.eval_at(point)
-        values = (st.check_gauss(spec, point, ev),
-                  st.check_gauss(spec, point, ev, paired=True),
-                  st.check_codazzi(spec, point, ev),
-                  st.check_codazzi(spec, point, ev, sign=-1.0))
+    for _, chunk in geo.grid_chunks(grid):
+        ev = spec.eval_batch(chunk)
+        values = (st.check_gauss(spec, chunk, ev),
+                  st.check_gauss(spec, chunk, ev, paired=True),
+                  st.check_codazzi(spec, chunk, ev),
+                  st.check_codazzi(spec, chunk, ev, sign=-1.0))
         for key, val in zip(sup, values):
-            sup[key] = max(sup[key], val)
+            sup[key] = max(sup[key], float(val.max()))
     return AuditReport(**sup, tolerance=tol)
 
 

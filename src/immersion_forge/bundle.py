@@ -11,11 +11,7 @@ Admissible structures make this connection flat and metric; transport is a
 fixed-step RK4 integration of the matrix ODE along polyline paths.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from . import geometry as geo
 
 DEFAULT_STEP = 1e-3
 # RK4 steps whose stage points are evaluated in one batched call; bounds
@@ -104,56 +100,6 @@ class ConnectionField:
     def gram(self, point):
         g, *_ = self.spec.connection_data_at(point)
         return assemble_gram(g)
-
-    def coefficient_derivatives(self, point, ev=None):
-        """dA[p, i] = d_p A_i via the product rule on exact field derivatives."""
-        ev = ev or self.spec.eval_at(point)
-        n = self.n
-        calc = ev.calc
-        g, dg = calc.g, calc.dg
-        S, dS, f, df, U, dU = ev.S, ev.dS, ev.f, ev.df, ev.U, ev.dU
-        du = np.array([dg[p] @ U + g @ dU[p] for p in range(n)])
-        dgS = np.array([dg[p] @ S + g @ dS[p] for p in range(n)])
-        dgf = np.array([dg[p] @ f + g @ df[p] for p in range(n)])
-        return _coefficient_blocks(dg, calc.dgamma, dgS, dgf, dS, df, du, 0.0)
-
-    def flatness_residual(self, point, ev=None):
-        """sup_{i<j} max-entry of d_i A_j - d_j A_i + [A_i, A_j]."""
-        ev = ev or self.spec.eval_at(point)
-        A = assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
-        dA = self.coefficient_derivatives(point, ev)
-        worst = 0.0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                R = dA[i, j] - dA[j, i] + A[i] @ A[j] - A[j] @ A[i]
-                worst = max(worst, float(np.abs(R).max()))
-        return worst
-
-    def metric_residual(self, point, ev=None):
-        """Compatibility of D with the fiber metric: d_i G = A_i^T G + G A_i."""
-        ev = ev or self.spec.eval_at(point)
-        A = assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
-        G = assemble_gram(ev.g)
-        dG = np.zeros_like(A)
-        dG[:, :self.n, :self.n] = ev.calc.dg
-        worst = 0.0
-        for i in range(self.n):
-            worst = max(worst, float(np.abs(dG[i] - A[i].T @ G - G @ A[i]).max()))
-        return worst
-
-    def parallel_map_residual(self, point, ev=None):
-        """Residual of D F = 0: d_i F + [A_i, F] per direction."""
-        ev = ev or self.spec.eval_at(point)
-        n = self.n
-        calc = ev.calc
-        A = assemble_coefficients(ev.g, calc.gamma, ev.S, ev.f, ev.u)
-        F = assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
-        du = np.array([calc.dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(n)])
-        worst = 0.0
-        for i in range(n):
-            dF = assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i], 0.0)
-            worst = max(worst, float(np.abs(dF + A[i] @ F - F @ A[i]).max()))
-        return worst
 
     # -- transport ----------------------------------------------------------
 

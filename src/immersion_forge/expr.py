@@ -559,13 +559,15 @@ _SCALAR_OPS = {
 }
 
 
-# numpy counterparts: the same checks as the scalar helpers, over a whole
-# array of points at once
-
-def _np_log(x):
-    if np.any(x <= 0.0):
-        raise DomainError("log of nonpositive value")
-    return np.log(x)
+def _each(op):
+    """numpy form of a scalar op, applied element by element so that every
+    value is bit-identical to the scalar path (numpy's transcendental
+    functions and powers differ from ``math``'s in the last bit)."""
+    def apply(x, *const):
+        vals = x.tolist()
+        return np.fromiter(map(op, vals, *([c] * len(vals) for c in const)),
+                           float, len(vals))
+    return apply
 
 
 def _np_sqrt(x):
@@ -580,22 +582,12 @@ def _np_div(a, b):
     return a / b
 
 
-def _np_pow(b, c):
-    if float(c).is_integer():
-        if c < 0 and np.any(b == 0.0):
-            raise DomainError("zero raised to a negative power")
-        return b ** c
-    if np.any(b <= 0.0):
-        raise DomainError("non-integer power of nonpositive base")
-    return np.exp(c * np.log(b))
-
-
+# + - * / neg sqrt are correctly rounded in IEEE arithmetic, so numpy's
+# match the scalar ones; every other op runs the scalar op per element
 _NP_OPS = {
-    **_SCALAR_OPS,
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
-    "exp": np.exp, "log": _np_log, "sqrt": _np_sqrt,
-    "/": _np_div, "^": _np_pow,
+    **{op: _each(fn) for op, fn in _SCALAR_OPS.items()},
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "neg": operator.neg, "sqrt": _np_sqrt, "/": _np_div,
 }
 
 
@@ -605,9 +597,9 @@ def compile_exprs(exprs, coords):
     The function runs an instruction tape that evaluates each unique DAG
     node exactly once.  Its ``batch`` attribute runs the same tape over
     numpy arrays: points of shape (P, len(coords)) -> values of shape
-    (P, len(exprs)), row j equal to the function at points[j].  Both raise
-    DomainError naming the point where a value leaves the domain, overflows
-    or is not finite.
+    (P, len(exprs)), row j bit-identical to the function at points[j].
+    Both raise DomainError naming the point where a value leaves the
+    domain, overflows or is not finite.
     """
     exprs = list(exprs)
     n = len(coords)
@@ -701,13 +693,13 @@ def compile_exprs(exprs, coords):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for i, v in enumerate(run(points.T, vector_steps)):
                     out[:, i] = v
-        except (DomainError, FloatingPointError):
+        except (DomainError, OverflowError, FloatingPointError):
             pass
         else:
             if np.isfinite(out).all():
                 return out
         # name the first failing point the way the scalar function does
-        for point in points:
+        for point in points.tolist():
             compiled(point)
         raise DomainError("floating-point overflow in batched evaluation")
 

@@ -8,6 +8,7 @@ Index conventions used throughout the package:
   with the sign convention R(X, Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
 """
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,9 +118,31 @@ def compile_fields(fields, coords):
     return evaluate
 
 
+# grid points evaluated per batch: bounds the memory of the field arrays
+# and of the expression tape's live registers at any grid size
+GRID_CHUNK = 1024
+
+
+def grid_chunks(points):
+    """(start, array of the next GRID_CHUNK or fewer points) in order."""
+    for start in range(0, len(points), GRID_CHUNK):
+        yield start, np.asarray(points[start:start + GRID_CHUNK], dtype=float)
+
+
+def point_of(batch, j):
+    """Point j of a dataclass of arrays with a leading point axis (nested
+    dataclasses included); its ``point`` field holds the point tuples."""
+    values = {}
+    for f in dataclasses.fields(batch):
+        v = getattr(batch, f.name)
+        values[f.name] = point_of(v, j) if dataclasses.is_dataclass(v) else v[j]
+    return dataclasses.replace(batch, **values)
+
+
 @dataclass
 class PointCalculus:
-    """Numeric metric data at a single point (all from exact derivatives)."""
+    """Numeric metric data (all from exact derivatives) at one point, or at
+    a batch of points along a leading axis."""
 
     point: tuple
     g: np.ndarray
@@ -128,13 +151,6 @@ class PointCalculus:
     gamma: np.ndarray    # gamma[m, i, j]
     dgamma: np.ndarray   # dgamma[p, m, i, j] = d_p Gamma^m_ij
     riem: np.ndarray     # riem[l, i, j, k]
-
-    def gnorm(self, v):
-        return float(np.sqrt(max(0.0, float(v @ self.g @ v))))
-
-    def lowered_riemann(self):
-        """R_ijkl = g(R(d_i, d_j) d_k, d_l)."""
-        return np.einsum("lijk,lm->ijkm", self.riem, self.g)
 
 
 class MetricField:
@@ -157,7 +173,20 @@ class MetricField:
 
     def calculus_at(self, point):
         v = self._evaluator([point])
-        return calculus_from_values(point, v["g"][0], v["dg"][0], v["ddg"][0])
+        return point_of(calculus_from_values(
+            [tuple(point)], v["g"], v["dg"], v["ddg"]), 0)
+
+
+def definite_points(g):
+    """Mask over the leading axis of ``g`` (P, n, n): positive definite or
+    not.  Tested point by point only when the batched Cholesky fails."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        if len(g) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([definite_points(gj[None]) for gj in g])
+    return np.ones(len(g), dtype=bool)
 
 
 def check_positive_definite(g, point):
@@ -166,31 +195,35 @@ def check_positive_definite(g, point):
     With a leading point axis, ``g`` has shape (P, n, n), ``point`` holds
     the P points and the error names the first failing one.
     """
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        if g.ndim == 3:
-            for gj, pj in zip(g, point):
-                check_positive_definite(gj, tuple(float(x) for x in pj))
+    if g.ndim == 2:
+        g, point = g[None], [point]
+    ok = definite_points(g)
+    if not ok.all():
+        bad = point[int(np.argmin(ok))]
         raise SingularMetricError(
-            f"metric not positive definite at {point}") from None
+            f"metric not positive definite at {tuple(map(float, bad))}")
+
+
+def _sym(dg):
+    """d_i g_jl + d_j g_il - d_l g_ij at [..., i, j, l], from dg[..., i, j, l]
+    = d_i g_jl; second derivatives carry one more leading axis."""
+    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
 def calculus_from_values(point, g, dg, ddg):
-    """Assemble Christoffels and curvature from exact g, dg, ddg values."""
+    """Assemble Christoffels and curvature from exact g, dg, ddg values.
+
+    The arrays carry a leading point axis and ``point`` holds the points.
+    """
     check_positive_definite(g, point)
     ginv = np.linalg.inv(g)
     gamma = christoffels_from_values(g, dg, ginv)
     # d_p g^{ml} = -(ginv dg[p] ginv)^{ml}
-    dginv = -np.einsum("ma,pab,bl->pml", ginv, dg, ginv)
-    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    # dsym[p, i, j, l] = d_p d_i g_jl + d_p d_j g_il - d_p d_l g_ij
-    dsym = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
-    dgamma = 0.5 * (np.einsum("pml,ijl->pmij", dginv, sym)
-                    + np.einsum("ml,pijl->pmij", ginv, dsym))
+    dginv = -np.einsum("...ma,...pab,...bl->...pml", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("...pml,...ijl->...pmij", dginv, _sym(dg))
+                    + np.einsum("...ml,...pijl->...pmij", ginv, _sym(ddg)))
     riem = riemann_from_values(gamma, dgamma)
-    return PointCalculus(point=tuple(point), g=g, ginv=ginv, dg=dg,
+    return PointCalculus(point=point, g=g, ginv=ginv, dg=dg,
                          gamma=gamma, dgamma=dgamma, riem=riem)
 
 
@@ -198,43 +231,27 @@ def christoffels_from_values(g, dg, ginv=None):
     """Gamma^m_ij from g and dg; all arrays may carry leading point axes."""
     if ginv is None:
         ginv = np.linalg.inv(g)
-    # sym[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    return 0.5 * np.einsum("...ml,...ijl->...mij", ginv, sym)
+    return 0.5 * np.einsum("...ml,...ijl->...mij", ginv, _sym(dg))
 
 
 def riemann_from_values(gamma, dgamma):
     """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    d1 = dgamma.transpose(1, 0, 2, 3)          # [l, i, j, k] = d_i G^l_jk
-    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
-    return d1 - d1.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
+    d1 = np.swapaxes(dgamma, -4, -3)          # [l, i, j, k] = d_i G^l_jk
+    quad = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    return (d1 - np.swapaxes(d1, -3, -2)
+            + quad - np.swapaxes(quad, -3, -2))
 
 
-def covariant_derivative_operator_field(T, metric, point, direction):
-    """(nabla_i T)^a_b for a (1,1)-tensor field of expressions."""
-    T = np.asarray(T, dtype=object)
-    calc = metric.calculus_at(point)
-    coords = metric.chart.coords
-    dT = derivatives(T, coords[direction:direction + 1])[0]
-    env = dict(zip(coords, point))
-    dT_num = np.array([[ex.evaluate(dT[a, b], env) for b in range(T.shape[1])]
-                       for a in range(T.shape[0])])
-    T_num = np.array([[ex.evaluate(T[a, b], env) for b in range(T.shape[1])]
-                      for a in range(T.shape[0])])
-    return covariant_derivative_from_values(T_num, dT_num, calc.gamma, direction)
+def covariant_derivatives(T, dT, gamma):
+    """(nabla_i T)^a_b at [..., i, a, b] from a (1,1)-tensor T[..., a, b],
+    its derivatives dT[..., i, a, b] and the Christoffels."""
+    return (dT + np.einsum("...aic,...cb->...iab", gamma, T)
+            - np.einsum("...ac,...cib->...iab", T, gamma))
 
 
-def covariant_derivative_from_values(T, dT, gamma, i):
-    """(nabla_i T)^a_b from numeric T, d_i T and Christoffels."""
-    return dT + gamma[:, i, :] @ T - T @ gamma[:, i, :]
-
-
-def wedge(v, w, z, g):
-    """(v ^ w) z = g(w, z) v - g(v, z) w."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return float(w @ g @ z) * v - float(v @ g @ z) * w
+def dot(a, b):
+    """a . b over the last axis, with leading axes; as np.dot for vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def minkowski_metric(dim):

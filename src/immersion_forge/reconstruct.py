@@ -269,14 +269,13 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
     n = spec.n
     res = {key: 0.0 for key in DEFAULT_VALIDATION_TOLERANCES}
     samples = imm.samples(points)
-    for point, s in zip(points, samples):
+    for point, s, ev in zip(points, samples, spec.eval_points(points)):
         x = s.psi
         quad = model.on_model_residual(x)
         if x[-1] <= 0.0:
             quad = max(quad, 1.0)       # wrong hyperboloid sheet
         s.residuals["quadric"] = quad
 
-        ev = spec.eval_at(point)
         s.residuals["isometry"] = float(
             np.abs(s.dpsi.T @ J @ s.dpsi - ev.g).max())
 

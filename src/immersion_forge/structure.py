@@ -39,7 +39,8 @@ class InadmissibleStructureError(StructureError):
 
 @dataclass
 class StructureEval:
-    """All structure data at one point, from exact derivatives."""
+    """All structure data, from exact derivatives, at one point or at a
+    batch of points along a leading axis (see ``geometry.point_of``)."""
 
     point: tuple
     calc: geo.PointCalculus
@@ -59,18 +60,7 @@ class StructureEval:
     @property
     def u(self):
         """Lowered U: u_i = g(U, d_i)."""
-        return self.calc.g @ self.U
-
-    def nabla_S(self, i):
-        return geo.covariant_derivative_from_values(
-            self.S, self.dS[i], self.calc.gamma, i)
-
-    def nabla_f(self, i):
-        return geo.covariant_derivative_from_values(
-            self.f, self.df[i], self.calc.gamma, i)
-
-    def nabla_U(self, i):
-        return self.dU[i] + self.calc.gamma[:, i, :] @ self.U
+        return (self.calc.g @ self.U[..., None])[..., 0]
 
 
 class StructureSpec:
@@ -123,14 +113,27 @@ class StructureSpec:
             blocks += [(name, arr), ("d" + name, geo.derivatives(arr, coords))]
         return geo.compile_fields(blocks, coords)
 
+    def eval_batch(self, points):
+        """StructureEval of the points (P, n) along a leading axis; raises
+        SingularMetricError naming the first point with a singular metric."""
+        points = [tuple(map(float, p)) for p in points]
+        return self._eval_from_values(points, self._full_evaluator(points))
+
+    def _eval_from_values(self, points, v):
+        """StructureEval from the evaluator's values ``v`` (consumed)."""
+        calc = geo.calculus_from_values(points, v.pop("g"), v.pop("dg"),
+                                        v.pop("ddg"))
+        return StructureEval(point=points, calc=calc, **v)
+
     def eval_at(self, point):
-        v = {name: arr[0] for name, arr in self._full_evaluator([point]).items()}
-        calc = geo.calculus_from_values(point, v["g"], v["dg"], v["ddg"])
-        return StructureEval(
-            point=tuple(point), calc=calc,
-            S=v["S"], dS=v["dS"], f=v["f"], df=v["df"],
-            U=v["U"], dU=v["dU"],
-            lam=float(v["lam"]), dlam=v["dlam"])
+        return geo.point_of(self.eval_batch([point]), 0)
+
+    def eval_points(self, points):
+        """StructureEval of each of ``points`` in turn, evaluated in batches
+        of ``geometry.GRID_CHUNK``."""
+        for _, chunk in geo.grid_chunks(points):
+            batch = self.eval_batch(chunk)
+            yield from (geo.point_of(batch, j) for j in range(len(chunk)))
 
     @cached_property
     def _connection_evaluator(self):
@@ -155,29 +158,56 @@ class StructureSpec:
 
 
 # ---------------------------------------------------------------------------
-# pointwise checks
+# pointwise checks: each takes the StructureEval of one point, or of a batch
+# of points along a leading axis, and returns values of the same shape
+
+
+def _gnorm(v, g):
+    """g-norms of the vectors v[..., a], over any axes between the point
+    axes of g and the vector index."""
+    extra = v.ndim - g.ndim + 1
+    g = g.reshape(g.shape[:-2] + (1,) * extra + g.shape[-2:])
+    return np.sqrt(np.maximum(0.0, np.einsum("...a,...ab,...b->...", v, g, v)))
+
+
+def _column_defect(M, g):
+    """Largest g-norm among the columns of M."""
+    return _gnorm(np.swapaxes(M, -1, -2), g).max(-1)
+
+
+def _pair_sup(norms, points_ndim):
+    """Sup of norms[..., i, j] over the pairs i < j and over the axes
+    after the leading point axes; 0 when there are no pairs."""
+    i, j = np.triu_indices(norms.shape[-1], 1)
+    picked = norms[..., i, j]
+    return picked.reshape(picked.shape[:points_ndim] + (-1,)).max(
+        -1, initial=0.0)
 
 
 def check_algebraic(spec, point, ev=None):
     """Residuals of the algebraic identities at a point."""
     ev = ev or spec.eval_at(point)
-    g, f, S, U, lam = ev.g, ev.f, ev.S, ev.U, ev.lam
-    calc = ev.calc
-    n = spec.n
-    res = {}
-    res["f_symmetric"] = _operator_defect(f.T @ g - g @ f, calc)
-    res["S_symmetric"] = _operator_defect(S.T @ g - g @ S, calc)
-    ff_defect = f @ f - np.eye(n) + np.outer(U, ev.u)
-    res["f_squared"] = max(calc.gnorm(ff_defect[:, j]) for j in range(n))
-    res["fU"] = calc.gnorm(f @ U + lam * U)
-    res["unit"] = abs(float(ev.u @ U) + lam * lam - 1.0)
-    return res
+    g, f, S, U, u = ev.g, ev.f, ev.S, ev.U, ev.u
+    lam = np.asarray(ev.lam)
+    ginv = ev.calc.ginv
+    fT, ST = np.swapaxes(f, -1, -2), np.swapaxes(S, -1, -2)
+    ff_defect = f @ f - np.eye(spec.n) + U[..., :, None] * u[..., None, :]
+    # f and S symmetric: the defect has a lowered output index, so its
+    # columns are measured in the dual metric
+    return {
+        "f_symmetric": _column_defect(fT @ g - g @ f, ginv),
+        "S_symmetric": _column_defect(ST @ g - g @ S, ginv),
+        "f_squared": _column_defect(ff_defect, g),
+        "fU": _gnorm((f @ U[..., None])[..., 0] + lam[..., None] * U, g),
+        "unit": np.abs(geo.dot(u, U) + lam * lam - 1.0),
+    }
 
 
-def _operator_defect(M, calc):
-    # M carries lowered output index; measure columns in the dual metric
-    return max(float(np.sqrt(max(0.0, M[:, j] @ calc.ginv @ M[:, j])))
-               for j in range(M.shape[1]))
+def _wedges(A, B):
+    """W[..., a, i, j, k] = B[k, j] A[a, i] - B[k, i] A[a, j]: the wedge
+    (A_i ^ A_j) e_k for B = g A, of columns A_i."""
+    T = np.einsum("...kj,...ai->...aijk", B, A)
+    return T - np.swapaxes(T, -3, -2)
 
 
 def check_gauss(spec, point, ev=None, paired=False):
@@ -187,26 +217,18 @@ def check_gauss(spec, point, ev=None, paired=False):
     ``paired`` the variant with (fX ^ fY)Z in place of f((X^Y)Z).
     """
     ev = ev or spec.eval_at(point)
-    n = spec.n
-    if n == 1:
-        return 0.0
-    calc = ev.calc
     g, S, f = ev.g, ev.S, ev.f
-    eye = np.eye(n)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                lhs = calc.riem[:, i, j, k]
-                wSS = geo.wedge(S[:, i], S[:, j], eye[:, k], g)
-                wIJf = geo.wedge(eye[:, i], eye[:, j], f[:, k], g)
-                if paired:
-                    wf = geo.wedge(f[:, i], f[:, j], eye[:, k], g)
-                else:
-                    wf = f @ geo.wedge(eye[:, i], eye[:, j], eye[:, k], g)
-                rhs = wSS + 0.5 * (wf + wIJf)
-                worst = max(worst, calc.gnorm(lhs - rhs))
-    return worst
+    gf = g @ f
+    wSS = _wedges(S, g @ S)
+    wIJf = _wedges(np.eye(spec.n), np.swapaxes(gf, -1, -2))
+    if paired:
+        wf = _wedges(f, gf)
+    else:
+        wf = _wedges(f, np.swapaxes(g, -1, -2))     # f((e_i ^ e_j) e_k)
+    defect = ev.calc.riem - (wSS + 0.5 * (wf + wIJf))
+    # [..., a, i, j, k] -> [..., k, i, j, a]
+    norms = _gnorm(np.moveaxis(defect, (-4, -1), (-1, -4)), g)
+    return _pair_sup(norms, g.ndim - 2)
 
 
 def check_codazzi(spec, point, ev=None, sign=1.0):
@@ -215,46 +237,38 @@ def check_codazzi(spec, point, ev=None, sign=1.0):
     The equation is (nabla_X S)Y - (nabla_Y S)X = sign (u(X)Y - u(Y)X)/2.
     """
     ev = ev or spec.eval_at(point)
-    n = spec.n
-    if n == 1:
-        return 0.0
-    calc = ev.calc
-    u = ev.u
-    eye = np.eye(n)
-    worst = 0.0
-    nabla = [ev.nabla_S(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = nabla[i][:, j] - nabla[j][:, i]
-            rhs = 0.5 * (u[i] * eye[:, j] - u[j] * eye[:, i])
-            worst = max(worst, calc.gnorm(lhs - sign * rhs))
-    return worst
+    # lhs[..., i, j, a] = ((nabla_i S) e_j - (nabla_j S) e_i)^a
+    lhs = np.swapaxes(geo.covariant_derivatives(ev.S, ev.dS, ev.calc.gamma),
+                      -1, -2)
+    lhs = lhs - np.swapaxes(lhs, -3, -2)
+    rhs = ev.u[..., :, None, None] * np.eye(spec.n)
+    rhs = 0.5 * (rhs - np.swapaxes(rhs, -3, -2))
+    return _pair_sup(_gnorm(lhs - sign * rhs, ev.g), ev.g.ndim - 2)
 
 
 def check_gradients(spec, point, ev=None):
     """Residuals of the covariant-derivative identities for f, U, lambda."""
     ev = ev or spec.eval_at(point)
-    n = spec.n
-    calc = ev.calc
-    g, S, f, U, lam, u = ev.g, ev.S, ev.f, ev.U, ev.lam, ev.u
-    res_f = 0.0
-    res_U = 0.0
-    res_lam = 0.0
-    for i in range(n):
-        Si = S[:, i]
-        gSi = g @ Si
-        nf = ev.nabla_f(i)
-        for j in range(n):
-            rhs = u[j] * Si + gSi[j] * U
-            res_f = max(res_f, calc.gnorm(nf[:, j] - rhs))
-        res_U = max(res_U, calc.gnorm(ev.nabla_U(i) - (lam * Si - f @ Si)))
-        res_lam = max(res_lam, abs(float(ev.dlam[i]) + 2.0 * float(gSi @ U)))
-    return {"grad_f": res_f, "grad_U": res_U, "grad_lambda": res_lam}
+    g, S, f, U, u, gamma = ev.g, ev.S, ev.f, ev.U, ev.u, ev.calc.gamma
+    lam = np.asarray(ev.lam)
+    gS = g @ S
+    # (nabla_i f) e_j = u(e_j) S e_i + g(S e_i, e_j) U, at [..., i, j, a]
+    nf = np.swapaxes(geo.covariant_derivatives(f, ev.df, gamma), -1, -2)
+    rhs_f = (np.einsum("...j,...ai->...ija", u, S)
+             + np.einsum("...ji,...a->...ija", gS, U))
+    # nabla_i U = lam S e_i - f S e_i, at [..., i, a]
+    nU = ev.dU + np.einsum("...aic,...c->...ia", gamma, U)
+    rhs_U = np.swapaxes(lam[..., None, None] * S - f @ S, -1, -2)
+    # d_i lambda = -2 g(S e_i, U)
+    dlam = ev.dlam + 2.0 * np.einsum("...ai,...a->...i", gS, U)
+    return {"grad_f": _gnorm(nf - rhs_f, g).max((-2, -1)),
+            "grad_U": _gnorm(nU - rhs_U, g).max(-1),
+            "grad_lambda": np.abs(dlam).max(-1)}
 
 
 def trace_invariant(ev):
     """tr f + lambda; equals 2k - n - 1 for realizable structures."""
-    return float(np.trace(ev.f)) + ev.lam
+    return np.trace(ev.f, axis1=-2, axis2=-1) + ev.lam
 
 
 def determine_k(spec, point, ev=None, tol=1e-8):
@@ -294,7 +308,7 @@ def point_residuals(spec, point, ev=None):
     alg = check_algebraic(spec, point, ev)
     grads = check_gradients(spec, point, ev)
     return {
-        "C1_algebraic": max(alg.values()),
+        "C1_algebraic": np.max(list(alg.values()), axis=0),
         "C2_gauss": check_gauss(spec, point, ev),
         "C3_codazzi": check_codazzi(spec, point, ev),
         "C4_grad_f": grads["grad_f"],
@@ -329,54 +343,69 @@ class CompatibilityReport:
 
 
 def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
-    """Run all compatibility checks over a grid and aggregate a verdict."""
+    """Run all compatibility checks over a grid and aggregate a verdict.
+
+    The grid is evaluated in batches of ``geometry.GRID_CHUNK`` points;
+    points where the metric is singular are skipped.
+    """
     if grid is None:
         grid = spec.chart.grid(grid_density)
     n = spec.n
-    sup = {key: 0.0 for key in RESIDUAL_KEYS}
-    worst = {key: None for key in RESIDUAL_KEYS}
+    eye = np.eye(n)
+    keys = RESIDUAL_KEYS[:-1]
     reasons = []
     skipped = []
-    per_point = []
-    traces = []             # (point, tr f + lambda) at each usable point
+    per_point = [None] * len(grid)
+    usable = []             # grid indices of the usable points, in order
+    columns = []            # per batch: residuals by key, then tr f + lambda
+    first = None            # StructureEval of the first usable point
     f_identity_everywhere = True
 
-    def record(key, val, point):
-        # the first point attaining each sup, also when the sup is 0
-        if worst[key] is None or val > sup[key]:
-            sup[key] = val
-            worst[key] = point
-
-    for point in grid:
-        try:
-            ev = spec.eval_at(point)
-        except SingularMetricError:
-            skipped.append(point)
-            per_point.append(None)
+    for start, chunk in geo.grid_chunks(grid):
+        v = spec._full_evaluator(chunk)
+        ok = geo.definite_points(v["g"])
+        skipped += [grid[start + j] for j in np.flatnonzero(~ok)]
+        idx = (start + np.flatnonzero(ok)).tolist()
+        if not idx:
             continue
-        per = point_residuals(spec, point, ev)
-        per_point.append(per)
-        traces.append((point, trace_invariant(ev)))
-        if min(float(np.abs(ev.f - np.eye(n)).max()),
-               float(np.abs(ev.f + np.eye(n)).max())) > tol:
-            f_identity_everywhere = False
-        for key, val in per.items():
-            record(key, val, point)
+        ev = spec._eval_from_values([grid[i] for i in idx],
+                                    {name: arr[ok] for name, arr in v.items()})
+        first = first or geo.point_of(ev, 0)
+        per = point_residuals(spec, ev.point, ev)
+        f_deviation = np.minimum(np.abs(ev.f - eye).max((-2, -1)),
+                                 np.abs(ev.f + eye).max((-2, -1)))
+        f_identity_everywhere &= not np.any(f_deviation > tol)
+        usable += idx
+        columns.append([per[key] for key in keys] + [trace_invariant(ev)])
 
-    if not traces:
-        return CompatibilityReport(sup, worst, None, tol, False,
-                                   ["no usable grid points"], skipped,
-                                   per_point)
+    if not usable:
+        return CompatibilityReport(
+            dict.fromkeys(RESIDUAL_KEYS, 0.0),
+            dict.fromkeys(RESIDUAL_KEYS), None, tol, False,
+            ["no usable grid points"], skipped, per_point)
+
+    *values, traces = np.concatenate(columns, axis=1)
+    for i, row in zip(usable, np.transpose(values).tolist()):
+        per_point[i] = dict(zip(keys, row))
 
     k = None
     try:
-        k = determine_k(spec, grid[0], tol=max(tol, 1e-8))
+        # k is read at the first grid point from the values evaluated above;
+        # a singular first point is reported by determine_k itself
+        k = determine_k(spec, grid[0], first if usable[0] == 0 else None,
+                        tol=max(tol, 1e-8))
     except (StructureError, SingularMetricError) as exc:
         reasons.append(str(exc))
-    target = ((2 * k - n - 1) if k is not None
-              else float(np.mean([t for _, t in traces])))
-    for point, t in traces:
-        record("k_consistency", abs(t - target), point)
+    target = (2 * k - n - 1) if k is not None else float(np.mean(traces))
+    values.append(np.abs(traces - target))
+
+    # the first point attaining each sup, also when the sup is 0
+    sup = {}
+    worst = {}
+    for key, col in zip(RESIDUAL_KEYS, values):
+        at = int(np.argmax(col))
+        sup[key] = float(col[at])
+        worst[key] = grid[usable[at]]
 
     if f_identity_everywhere:
         reasons.append("excluded case f = +/-Id")

@@ -1,0 +1,270 @@
+"""Per-point reference versions of the admission checks, and per-point
+residuals of the bundle connection.
+
+The admission checks are the triple loops the batched checks in
+``structure`` replaced: one point at a time, one basis vector, pair or
+triple per iteration.  The tests compare the batched code against them.
+"""
+
+import numpy as np
+
+from immersion_forge import bundle as bd
+from immersion_forge import structure as st
+from immersion_forge.ambient import NotOnModelError
+from immersion_forge.geometry import SingularMetricError
+
+
+def wedge(v, w, z, g):
+    """(v ^ w) z = g(w, z) v - g(v, z) w."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    z = np.asarray(z, dtype=float)
+    return float(w @ g @ z) * v - float(v @ g @ z) * w
+
+
+def gnorm(g, v):
+    return float(np.sqrt(max(0.0, float(v @ g @ v))))
+
+
+def nabla(T, dT, gamma, i):
+    """(nabla_i T)^a_b of a (1,1)-tensor from its values and d_i T."""
+    return dT[i] + gamma[:, i, :] @ T - T @ gamma[:, i, :]
+
+
+def _operator_defect(M, ginv):
+    # M carries lowered output index; measure columns in the dual metric
+    return max(float(np.sqrt(max(0.0, M[:, j] @ ginv @ M[:, j])))
+               for j in range(M.shape[1]))
+
+
+def check_algebraic(spec, ev):
+    g, f, S, U, lam = ev.g, ev.f, ev.S, ev.U, float(ev.lam)
+    u = g @ U
+    n = spec.n
+    res = {}
+    res["f_symmetric"] = _operator_defect(f.T @ g - g @ f, ev.calc.ginv)
+    res["S_symmetric"] = _operator_defect(S.T @ g - g @ S, ev.calc.ginv)
+    ff_defect = f @ f - np.eye(n) + np.outer(U, u)
+    res["f_squared"] = max(gnorm(g, ff_defect[:, j]) for j in range(n))
+    res["fU"] = gnorm(g, f @ U + lam * U)
+    res["unit"] = abs(float(u @ U) + lam * lam - 1.0)
+    return res
+
+
+def check_gauss(spec, ev, paired=False):
+    n = spec.n
+    if n == 1:
+        return 0.0
+    g, S, f, riem = ev.g, ev.S, ev.f, ev.calc.riem
+    eye = np.eye(n)
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                lhs = riem[:, i, j, k]
+                wSS = wedge(S[:, i], S[:, j], eye[:, k], g)
+                wIJf = wedge(eye[:, i], eye[:, j], f[:, k], g)
+                if paired:
+                    wf = wedge(f[:, i], f[:, j], eye[:, k], g)
+                else:
+                    wf = f @ wedge(eye[:, i], eye[:, j], eye[:, k], g)
+                rhs = wSS + 0.5 * (wf + wIJf)
+                worst = max(worst, gnorm(g, lhs - rhs))
+    return worst
+
+
+def check_codazzi(spec, ev, sign=1.0):
+    n = spec.n
+    if n == 1:
+        return 0.0
+    g = ev.g
+    u = g @ ev.U
+    eye = np.eye(n)
+    worst = 0.0
+    nab = [nabla(ev.S, ev.dS, ev.calc.gamma, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = nab[i][:, j] - nab[j][:, i]
+            rhs = 0.5 * (u[i] * eye[:, j] - u[j] * eye[:, i])
+            worst = max(worst, gnorm(g, lhs - sign * rhs))
+    return worst
+
+
+def check_gradients(spec, ev):
+    n = spec.n
+    g, S, f, U, lam = ev.g, ev.S, ev.f, ev.U, float(ev.lam)
+    gamma = ev.calc.gamma
+    u = g @ U
+    res_f = 0.0
+    res_U = 0.0
+    res_lam = 0.0
+    for i in range(n):
+        Si = S[:, i]
+        gSi = g @ Si
+        nf = nabla(f, ev.df, gamma, i)
+        for j in range(n):
+            rhs = u[j] * Si + gSi[j] * U
+            res_f = max(res_f, gnorm(g, nf[:, j] - rhs))
+        nU = ev.dU[i] + gamma[:, i, :] @ U
+        res_U = max(res_U, gnorm(g, nU - (lam * Si - f @ Si)))
+        res_lam = max(res_lam, abs(float(ev.dlam[i]) + 2.0 * float(gSi @ U)))
+    return {"grad_f": res_f, "grad_U": res_U, "grad_lambda": res_lam}
+
+
+def point_residuals(spec, ev):
+    alg = check_algebraic(spec, ev)
+    grads = check_gradients(spec, ev)
+    return {
+        "C1_algebraic": max(alg.values()),
+        "C2_gauss": check_gauss(spec, ev),
+        "C3_codazzi": check_codazzi(spec, ev),
+        "C4_grad_f": grads["grad_f"],
+        "C5_grad_U": grads["grad_U"],
+        "C6_grad_lambda": grads["grad_lambda"],
+    }
+
+
+def admit(spec, grid, tol=st.DEFAULT_TOLERANCE):
+    """The per-point admission loop.  Returns the fields of
+    ``structure.CompatibilityReport`` that admission computes, plus
+    ``values``: key -> [(point, residual)] over the usable points."""
+    n = spec.n
+    sup = {key: 0.0 for key in st.RESIDUAL_KEYS}
+    worst = {key: None for key in st.RESIDUAL_KEYS}
+    values = {key: [] for key in st.RESIDUAL_KEYS}
+    reasons, skipped, per_point, traces = [], [], [], []
+    f_identity_everywhere = True
+
+    def record(key, val, point):
+        values[key].append((point, val))
+        if worst[key] is None or val > sup[key]:
+            sup[key] = val
+            worst[key] = point
+
+    for point in grid:
+        try:
+            ev = spec.eval_at(point)
+        except SingularMetricError:
+            skipped.append(point)
+            per_point.append(None)
+            continue
+        per = point_residuals(spec, ev)
+        per_point.append(per)
+        traces.append((point, float(np.trace(ev.f)) + float(ev.lam)))
+        if min(float(np.abs(ev.f - np.eye(n)).max()),
+               float(np.abs(ev.f + np.eye(n)).max())) > tol:
+            f_identity_everywhere = False
+        for key, val in per.items():
+            record(key, val, point)
+    k = None
+    if not traces:
+        reasons.append("no usable grid points")
+    else:
+        try:
+            k = st.determine_k(spec, grid[0], tol=max(tol, 1e-8))
+        except (st.StructureError, SingularMetricError) as exc:
+            reasons.append(str(exc))
+        target = ((2 * k - n - 1) if k is not None
+                  else float(np.mean([t for _, t in traces])))
+        for point, t in traces:
+            record("k_consistency", abs(t - target), point)
+        if f_identity_everywhere:
+            reasons.append("excluded case f = +/-Id")
+        for key in st.RESIDUAL_KEYS:
+            if sup[key] > tol:
+                reasons.append(
+                    f"{key} residual {sup[key]:.3e} exceeds {tol:.1e}")
+        if skipped:
+            reasons.append(
+                f"{len(skipped)} grid points skipped (singular metric)")
+    return {"residuals": sup, "worst_points": worst, "k": k,
+            "reasons": reasons, "skipped_points": skipped,
+            "per_point": per_point, "values": values}
+
+
+def audit(spec, grid):
+    """Sups of both Gauss forms and both Codazzi signs, point by point."""
+    sup = dict.fromkeys(("gauss_f_outside", "gauss_f_paired",
+                         "codazzi_plus", "codazzi_minus"), 0.0)
+    for point in grid:
+        ev = spec.eval_at(point)
+        values = (check_gauss(spec, ev), check_gauss(spec, ev, paired=True),
+                  check_codazzi(spec, ev), check_codazzi(spec, ev, sign=-1.0))
+        for key, val in zip(sup, values):
+            sup[key] = max(sup[key], val)
+    return sup
+
+
+def check_on_model(h, grid, tol=1e-10):
+    """The per-point on-model check: residual, then sheet, then rank."""
+    worst = 0.0
+    for point in grid:
+        vals = h._sample_evaluator([point])
+        x = vals["x"][0]
+        res = h.model.on_model_residual(x)
+        worst = max(worst, res)
+        if res > tol:
+            raise NotOnModelError(
+                f"not on model at {point}: residual {res:.3e}")
+        if x[-1] <= 0.0:
+            raise NotOnModelError(f"lower hyperboloid sheet at {point}")
+        if np.linalg.matrix_rank(vals["dx"][0], tol=1e-10) < h.n:
+            raise NotOnModelError(f"jacobian rank defect at {point}")
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# flatness, metricity and D F = 0 of the bundle connection at one point
+
+
+def coefficient_derivatives(spec, point, ev=None):
+    """dA[p, i] = d_p A_i via the product rule on exact field derivatives."""
+    ev = ev or spec.eval_at(point)
+    n = spec.n
+    calc = ev.calc
+    g, dg = calc.g, calc.dg
+    S, dS, f, df, U, dU = ev.S, ev.dS, ev.f, ev.df, ev.U, ev.dU
+    du = np.array([dg[p] @ U + g @ dU[p] for p in range(n)])
+    dgS = np.array([dg[p] @ S + g @ dS[p] for p in range(n)])
+    dgf = np.array([dg[p] @ f + g @ df[p] for p in range(n)])
+    return bd._coefficient_blocks(dg, calc.dgamma, dgS, dgf, dS, df, du, 0.0)
+
+
+def flatness_residual(spec, point, ev=None):
+    """sup_{i<j} max-entry of d_i A_j - d_j A_i + [A_i, A_j]."""
+    ev = ev or spec.eval_at(point)
+    A = bd.assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+    dA = coefficient_derivatives(spec, point, ev)
+    worst = 0.0
+    for i in range(spec.n):
+        for j in range(i + 1, spec.n):
+            R = dA[i, j] - dA[j, i] + A[i] @ A[j] - A[j] @ A[i]
+            worst = max(worst, float(np.abs(R).max()))
+    return worst
+
+
+def metric_residual(spec, point, ev=None):
+    """Compatibility of D with the fiber metric: d_i G = A_i^T G + G A_i."""
+    ev = ev or spec.eval_at(point)
+    A = bd.assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+    G = bd.assemble_gram(ev.g)
+    dG = np.zeros_like(A)
+    dG[:, :spec.n, :spec.n] = ev.calc.dg
+    worst = 0.0
+    for i in range(spec.n):
+        worst = max(worst, float(np.abs(dG[i] - A[i].T @ G - G @ A[i]).max()))
+    return worst
+
+
+def parallel_map_residual(spec, point, ev=None):
+    """Residual of D F = 0: d_i F + [A_i, F] per direction."""
+    ev = ev or spec.eval_at(point)
+    calc = ev.calc
+    A = bd.assemble_coefficients(ev.g, calc.gamma, ev.S, ev.f, ev.u)
+    F = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
+    du = np.array([calc.dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(spec.n)])
+    worst = 0.0
+    for i in range(spec.n):
+        dF = bd.assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i], 0.0)
+        worst = max(worst, float(np.abs(dF + A[i] @ F - F @ A[i]).max()))
+    return worst

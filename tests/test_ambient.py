@@ -1,6 +1,7 @@
 """Minkowski model, extraction oracle, congruence, equation audit."""
 
 import numpy as np
+import oracles
 import pytest
 
 from immersion_forge import ambient as am
@@ -148,8 +149,8 @@ def test_lower_sheet_rejected():
 def test_normal_is_unit_tangent_and_orthogonal(catalog_structures):
     for name, (h, _) in catalog_structures.items():
         model = h.model
-        for point in h.chart.grid(2):
-            x, dx, nu = h.sample(point)
+        for s in am.hypersurface_samples(h, h.chart.grid(2)):
+            x, dx, nu = s.psi, s.dpsi, s.normal
             assert model.inner(nu, nu) == pytest.approx(1.0, abs=1e-12)
             assert model.tangency_residual(x, nu) < 1e-12
             assert np.abs(dx.T @ model.minkowski @ nu).max() < 1e-12
@@ -192,8 +193,8 @@ def test_extraction_against_numeric_normal(catalog_structures):
     h, spec = catalog_structures["diagonal_cylinder"]
     model = h.model
     J = model.minkowski
-    for point in h.chart.grid(2):
-        x, dx, nu = h.sample(point)
+    for s in am.hypersurface_samples(h, h.chart.grid(2)):
+        point, x, dx, nu = s.point, s.psi, s.dpsi, s.normal
         # rows: Minkowski pairings that the normal must annihilate
         rows = np.vstack([dx.T @ J, model.xi1(x) @ J, model.xi2(x) @ J])
         _, _, vt = np.linalg.svd(rows)
@@ -212,9 +213,9 @@ def test_extraction_against_numeric_normal(catalog_structures):
 def test_extracted_metric_matches_pullback(catalog_structures):
     h, spec = catalog_structures["perturbed_geodesic"]
     J = h.model.minkowski
-    for point in h.chart.grid(4):
-        _, dx, _ = h.sample(point)
-        ev = spec.eval_at(point)
+    for s in am.hypersurface_samples(h, h.chart.grid(4)):
+        dx = s.dpsi
+        ev = spec.eval_at(s.point)
         assert np.abs(dx.T @ J @ dx - ev.g).max() < 1e-12
 
 
@@ -300,3 +301,62 @@ def test_catalog_aliases():
     assert am.catalog_entry("tilted_slice").name == "diagonal_cylinder"
     with pytest.raises(am.AmbientError, match="unknown catalog entry"):
         am.catalog_entry("nope")
+
+
+# ---------------------------------------------------------------------------
+# batched audit and on-model check against the per-point loops
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", am.catalog_names())
+def test_batched_audit_matches_per_point_oracle(
+        name, chunk, catalog_structures, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
+    h, spec = catalog_structures[name]
+    grid = h.chart.grid(5 if h.n < 3 else 3)
+    audit = am.audit_equations(h, grid=grid)
+    for key, val in oracles.audit(spec, grid).items():
+        assert abs(getattr(audit, key) - val) <= 1e-14
+
+
+LINE_CHART = geo.Chart(("u1",), ((-0.5, 0.5),), (0.0,))
+LINE_GRID = LINE_CHART.grid(9)      # -0.49, -0.3675, ..., 0.49
+M = "((u1 + 0.49)/0.1225)"          # the index m of a point of LINE_GRID
+ON_MODEL_DEFECTS = {
+    # c1 grows like 2e-12 exp(40 u1): off the model from index 5 on
+    "off_model": (("cos(u1) + 1e-12*exp(40*u1)", "sin(u1)", "sinh(u1)",
+                   "cosh(u1)"), 5, "not on model at"),
+    # the timelike coordinate flips sign at the grid points where
+    # m(m-1)(m-2)/6 is odd, the first being m = 3
+    "lower_sheet": (("cos(u1)", "sin(u1)", "sinh(u1)",
+                     f"cosh(u1)*cos(pi*{M}*({M} - 1)*({M} - 2)/6)"), 3,
+                    "lower hyperboloid sheet at"),
+    # both at m = 5, the first point where m(m-1)...(m-4)/120 is odd: the
+    # residual is tested first
+    "off_model_on_lower_sheet": (
+        ("cos(u1) + 1e-12*exp(40*u1)", "sin(u1)", "sinh(u1)",
+         f"cosh(u1)*cos(pi*{M}*({M} - 1)*({M} - 2)*({M} - 3)*({M} - 4)/120)"),
+        5, "not on model at"),
+    # d/du1 of u1^3 vanishes at the middle point u1 = 0
+    "rank_defect": (("cos(u1^3)", "sin(u1^3)", "sinh(u1^3)", "cosh(u1^3)"), 4,
+                    "jacobian rank defect at"),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("name", sorted(ON_MODEL_DEFECTS))
+def test_batched_on_model_check_names_the_first_failing_point(
+        name, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
+    x, index, message = ON_MODEL_DEFECTS[name]
+    h = am.ParametrizedHypersurface(LINE_CHART, x, k=1)
+    with pytest.raises(am.NotOnModelError) as want:
+        oracles.check_on_model(h, LINE_GRID)
+    with pytest.raises(am.NotOnModelError) as got:
+        h.check_on_model(grid=LINE_GRID)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{message} {LINE_GRID[index]}")
+    # passing points come first; the same check passes on them
+    assert h.check_on_model(grid=LINE_GRID[:index]) < 1e-10

@@ -241,3 +241,44 @@ def test_derivative_nodes_do_not_depend_on_memo_order(monkeypatch):
     ex.diff(sub, "u1")
     ex.diff(ex.diff(sub, "u2"), "u1")
     assert all(ex.diff(e, c) is d for c, d in zip(COORDS, fresh))
+
+
+# every op kind of the tape: the ops numpy computes differently from math
+# run element by element, so a batch row is bit-identical to one point
+BIT_IDENTICAL_CASES = [
+    "sin(u1*u2)", "cos(u1 - u2)", "tan(u1/2)", "sinh(u1 + u2)",
+    "cosh(u1*u2)", "tanh(u1)", "exp(u1 - u2)", "log(2 + u1*u2)",
+    "sqrt(3 + u1 - u2)",
+    "(2 + u1*u2)^0.5", "(2 + u1*u2)^1.5", "(2 + u1*u2)^-0.5",
+    "(2 + u1*u2)^-2",                           # ^ with an integral exponent
+    "(2 + u1*u2)^3", "(1 + u1*u2/4)^64",        # ipow
+]
+
+
+@pytest.mark.parametrize("text", BIT_IDENTICAL_CASES)
+def test_batch_rows_are_bit_identical_to_points(text, rng):
+    e = ex.parse(text, COORDS)
+    exprs = [e, ex.diff(e, "u1"), ex.diff(ex.diff(e, "u1"), "u2")]
+    fn = ex.compile_exprs(exprs, COORDS)
+    points = np.array(_random_points(50, rng))
+    got = fn.batch(points)
+    for row, point in zip(got, points):
+        assert np.array_equal(row, fn(point.tolist()))
+
+
+@pytest.mark.parametrize("text,bad", [
+    ("log(u1)", -0.5),
+    ("u1^1.5", -0.5),
+    ("exp(1000*u1)", 0.9),
+    ("cosh(1000*u1)", 0.9),
+    ("(1e103*u1)^3", 0.9),                      # ipow overflow
+])
+def test_mapped_op_failure_names_its_point(text, bad):
+    fn = ex.compile_exprs([ex.parse(text, ("u1",))], ("u1",))
+    points = [(0.1,), (0.2,), (bad,), (0.3,), (0.4,)]
+    fn.batch(points[:2] + points[3:])           # the other points are fine
+    with pytest.raises(ex.DomainError) as want:
+        fn((bad,))
+    with pytest.raises(ex.DomainError, match=f"at \\({bad},\\)") as got:
+        fn.batch(points)
+    assert str(got.value) == str(want.value)

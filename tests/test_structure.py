@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import numpy as np
+import oracles
 import pytest
 
 from immersion_forge import expr as ex
@@ -203,3 +204,87 @@ def test_eval_at_exposes_exact_derivatives(catalog_structures):
         bwd[p] -= h
         fd = (spec.eval_at(tuple(fwd)).S - spec.eval_at(tuple(bwd)).S) / (2 * h)
         assert np.abs(fd - ev.dS[p]).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched admission against the per-point loops of tests/oracles.py
+
+
+def tilted_spec(g11):
+    """A structure far from admissible, with metric entry g11; a g11 that
+    is not positive at some grid points makes them singular."""
+    return st.StructureSpec.from_strings(
+        flat_chart(),
+        g=[[g11, "u1*u2/10"], ["u1*u2/10", "1 + u2^2"]],
+        S=[["0.1*u1", "0.2"], ["0.2", "sin(u2)"]],
+        f=[["cos(u1)", "sin(u1)"], ["sin(u1)", "-cos(u1)"]],
+        U=["0.1*u2", "0"],
+        lam="-1")
+
+
+ORACLE_CASES = {
+    # the benchmark's inadmissible control: lambda = -1 + c u1
+    "control": lambda: flat_slice_spec(lam="-1 + 0.015*u1"),
+    # singular on the column u1 = 0 of the grid, away from its first point
+    "singular_interior": lambda: tilted_spec("u1^2 - 0.1 + u2^2/10"),
+    # singular on the first column, so k cannot be read at grid[0]
+    "singular_first_point": lambda: tilted_spec("u1 + 0.5"),
+}
+
+TIE = 1e-14
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("name", sorted(TRACE_TARGETS) + sorted(ORACLE_CASES))
+def test_batched_admission_matches_per_point_oracle(
+        name, chunk, catalog_structures, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
+    spec = (catalog_structures[name][1] if name in catalog_structures
+            else ORACLE_CASES[name]())
+    grid = spec.chart.grid(5 if spec.n < 3 else 3)
+    report = st.admit(spec, grid=grid)
+    want = oracles.admit(spec, grid)
+    assert report.k == want["k"]
+    assert report.reasons == want["reasons"]
+    assert report.skipped_points == want["skipped_points"]
+    assert ([per is None for per in report.per_point]
+            == [per is None for per in want["per_point"]])
+    for got, ref in zip(report.per_point, want["per_point"]):
+        if ref is not None:
+            assert got.keys() == ref.keys()
+            assert all(abs(got[key] - ref[key]) <= TIE for key in ref)
+    for key in st.RESIDUAL_KEYS:
+        sup = want["residuals"][key]
+        assert abs(report.residuals[key] - sup) <= TIE
+        # the worst point may only move among points tied with the sup
+        tied = [p for p, val in want["values"][key] if val >= sup - TIE]
+        assert report.worst_points[key] in tied
+        if len(tied) == 1:
+            assert report.worst_points[key] == want["worst_points"][key]
+    if name.startswith("singular"):
+        assert report.skipped_points and not report.admissible
+
+
+def test_batched_checks_serve_one_point_and_a_batch(catalog_structures):
+    _, spec = catalog_structures["diagonal_cylinder"]
+    grid = spec.chart.grid(3)
+    batch = spec.eval_batch(grid)
+    per = st.point_residuals(spec, grid, batch)
+    for j, point in enumerate(grid):
+        one = st.point_residuals(spec, point, spec.eval_at(point))
+        for key, val in one.items():
+            assert np.ndim(val) == 0
+            assert abs(per[key][j] - val) <= TIE
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_TARGETS))
+def test_field_batches_are_bit_identical_to_points(name, catalog_structures):
+    _, spec = catalog_structures[name]
+    points = np.array(spec.chart.grid(3))
+    for evaluate in (spec._full_evaluator, spec._connection_evaluator):
+        batch = evaluate(points)
+        for j in range(len(points)):
+            one = evaluate(points[j:j + 1])         # the scalar path
+            assert all(np.array_equal(batch[key][j], one[key][0])
+                       for key in batch)
