@@ -56,12 +56,13 @@ def _coefficient_blocks(g, gamma, gS, gf, S, f, u, eye):
 
 
 def assemble_gram(g):
-    n = g.shape[0]
-    G = np.zeros((n + 3, n + 3))
-    G[:n, :n] = g
-    G[n, n] = 1.0
-    G[n + 1, n + 1] = 1.0
-    G[n + 2, n + 2] = -1.0
+    """Fiber metric G = blockdiag(g, 1, 1, -1); g may carry leading axes."""
+    n = g.shape[-1]
+    G = np.zeros(g.shape[:-2] + (n + 3, n + 3))
+    G[..., :n, :n] = g
+    G[..., n, n] = 1.0
+    G[..., n + 1, n + 1] = 1.0
+    G[..., n + 2, n + 2] = -1.0
     return G
 
 

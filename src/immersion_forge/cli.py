@@ -20,10 +20,11 @@ Reports are line-oriented JSON (one record per grid point plus one final
 summary record) or CSV tables.  CSV column order: point coordinates, psi
 components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
-validation, 2 malformed input (including a --base outside the chart, a
---grid above 100 000 grid points in all, an --out that cannot be written
-and a field expression that leaves its domain or overflows) or off-model
-data.
+validation, 2 malformed input (including a k that is not an integer in
+1..n, repeated coordinate names, a field nested to the wrong depth, a
+--base outside the chart, a --grid above 100 000 grid points in all, an
+--out that cannot be written and a field expression that leaves its
+domain or overflows) or off-model data.
 """
 
 import argparse
@@ -60,21 +61,24 @@ def _require(doc, key, kind):
     if key not in doc:
         raise InputError(f"missing field {key!r}")
     val = doc[key]
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise InputError(f"field {key!r} has wrong type")
     return val
 
 
-def _parse_exprs(obj, coords, path):
-    if isinstance(obj, str):
+def _parse_exprs(obj, coords, path, depth):
+    """Expression strings nested ``depth`` lists deep."""
+    if depth == 0:
+        if not isinstance(obj, str):
+            raise InputError(f"expected expression string at {path}")
         try:
             return ex.parse(obj, coords)
         except ex.ParseError as err:
             raise InputError(f"bad expression in {path}: {err}") from None
-    if isinstance(obj, list):
-        return [_parse_exprs(item, coords, f"{path}[{i}]")
-                for i, item in enumerate(obj)]
-    raise InputError(f"expected expression string at {path}")
+    if not isinstance(obj, list):
+        raise InputError(f"expected a list at {path}")
+    return [_parse_exprs(item, coords, f"{path}[{i}]", depth - 1)
+            for i, item in enumerate(obj)]
 
 
 def load_document(doc):
@@ -93,30 +97,31 @@ def load_document(doc):
     except (geo.GeometryError, TypeError, ValueError) as err:
         raise InputError(f"bad chart data: {err}") from None
 
+    k = _require(doc, "k", int) if "k" in doc else None
+    if k is not None and not 1 <= k <= n:
+        raise InputError(f"field 'k' must lie in 1..{n}")
     if kind == "structure":
         for key in ("g", "S", "f", "U", "lambda"):
             if key not in fields:
                 raise InputError(f"structure input needs fields.{key}")
+        depth = {"g": 2, "S": 2, "f": 2, "U": 1, "lambda": 0}
+        parsed = {key: _parse_exprs(fields[key], coords, key, d)
+                  for key, d in depth.items()}
         try:
             return st.StructureSpec(
-                chart,
-                np.array(_parse_exprs(fields["g"], coords, "g"), dtype=object),
-                np.array(_parse_exprs(fields["S"], coords, "S"), dtype=object),
-                np.array(_parse_exprs(fields["f"], coords, "f"), dtype=object),
-                np.array(_parse_exprs(fields["U"], coords, "U"), dtype=object),
-                _parse_exprs(fields["lambda"], coords, "lambda"),
-                declared_k=doc.get("k"),
-            )
+                chart, *(np.array(parsed[key], dtype=object)
+                         for key in ("g", "S", "f", "U")),
+                parsed["lambda"], declared_k=k)
         except st.StructureError as err:
             raise InputError(str(err)) from None
     if kind == "hypersurface":
         if "x" not in fields:
             raise InputError("hypersurface input needs fields.x")
-        if "k" not in doc:
+        if k is None:
             raise InputError("hypersurface input needs k")
         try:
             return am.ParametrizedHypersurface(
-                chart, _parse_exprs(fields["x"], coords, "x"), k=doc["k"])
+                chart, _parse_exprs(fields["x"], coords, "x", 1), k=k)
         except am.AmbientError as err:
             raise InputError(str(err)) from None
     raise InputError(f"unknown kind {kind!r}")

@@ -39,6 +39,9 @@ class Chart:
             raise GeometryError("chart dimension must be >= 1")
         if len(self.box) != n or len(self.base_point) != n:
             raise GeometryError("box and base point must match dimension")
+        if len(set(self.coords)) != n:
+            raise GeometryError(f"coordinate names {list(self.coords)} "
+                                f"repeat a name")
         for name in self.coords:
             if name in ex.NAMED_CONSTANTS or name in ex.FUNCTIONS:
                 raise GeometryError(f"coordinate name {name!r} is reserved")

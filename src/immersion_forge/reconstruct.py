@@ -10,8 +10,8 @@ the flat bundle into a copy of Minkowski space.  The immersion is
 
 with eps = (1, ..., 1, -1); its differential is psi_* v = eps * G(v, eta)
 and the image unit normal is N = eps * G(xi, eta).  Frame components are
-obtained by parallel transport along staircase paths from the base point,
-with shared path prefixes cached for grid sweeps.
+obtained by parallel transport along staircase paths from the base point;
+each corner of those paths is transported once, from the corner before it.
 """
 
 from dataclasses import dataclass, field
@@ -110,52 +110,13 @@ def randomize_frame(E0, k, rng):
     return E0 @ blk
 
 
-class _TransportCache:
-    """Shared-prefix transport along staircase paths from a common base."""
-
-    def __init__(self, conn, base, E0, step):
-        self.conn = conn
-        self.base = tuple(float(x) for x in base)
-        self.step = step
-        self.frames = {self._key(self.base): np.array(E0, dtype=float)}
-
-    @staticmethod
-    def _key(point):
-        return tuple(round(float(x), 12) for x in point)
-
-    def frame_at(self, point):
-        path = bd.staircase_path(self.base, point)
-        M = self.frames[self._key(path[0])]
-        for a, b in zip(path[:-1], path[1:]):
-            kb = self._key(b)
-            cached = self.frames.get(kb)
-            if cached is None:
-                cached = self.conn.transport_segment(
-                    np.asarray(a), np.asarray(b), M, step=self.step)
-                self.frames[kb] = cached
-            M = cached
-        return M
-
-
-def _sample_from_frame(spec, point, M, k):
-    """Read off psi, dpsi and N from transported frame components."""
-    n = spec.n
-    N = n + 3
-    g, *_ = spec.connection_data_at(point)
-    G = bd.assemble_gram(g)
-    P = G @ M                                    # P[b, a] = G(e_b, eta_a)
-    eps = np.ones(N)
-    eps[-1] = -1.0
-    rows = np.array([n + 1] * (k + 1) + [n + 2] * (n - k + 2))
-    psi = eps * P[rows, np.arange(N)]
-    dpsi = (eps[None, :] * P[:n, :]).T           # (n+3) x n
-    normal = eps * P[n, :]
-    return ImmersionSample(point=tuple(float(x) for x in point),
-                           psi=psi, normal=normal, dpsi=dpsi)
-
-
 class Immersion:
-    """Transport-based evaluation of the reconstructed immersion."""
+    """Transport-based evaluation of the reconstructed immersion.
+
+    ``frames`` maps each corner of the staircase paths from the base
+    point, a sampled point being the last corner of its path, to the frame
+    components transported there from the corner before it.
+    """
 
     def __init__(self, spec, k=None, base=None, step=bd.DEFAULT_STEP,
                  base_frame=None):
@@ -170,7 +131,7 @@ class Immersion:
         E0 = base_frame if base_frame is not None else synthesize_frame(ev, self.k)
         self._check_base_frame(E0, ev)
         self.base_frame = np.array(E0, dtype=float)
-        self._cache = _TransportCache(self.conn, self.base, self.base_frame, step)
+        self.frames = {tuple(map(float, self.base)): self.base_frame}
 
     def _check_base_frame(self, E0, ev):
         N = self.spec.n + 3
@@ -184,16 +145,43 @@ class Immersion:
                 or np.abs(F @ E0[:, sph:] + E0[:, sph:]).max() > 1e-8):
             raise ReconstructionError("base frame is not adapted to F")
 
+    def _frame(self, point):
+        """Frame components at ``point``, filling the frame table."""
+        path = bd.staircase_path(self.base, point)
+        M = self.frames[path[0]]
+        for a, b in zip(path[:-1], path[1:]):
+            if b not in self.frames:
+                self.frames[b] = self.conn.transport_segment(
+                    a, b, M, step=self.step)
+            M = self.frames[b]
+        return M
+
+    def _assemble(self, points, frames):
+        """Read off psi, dpsi and N at ``points`` from their frame
+        components, evaluating g once per ``geometry.GRID_CHUNK`` points."""
+        n = self.spec.n
+        N = n + 3
+        eps = np.ones(N)
+        eps[-1] = -1.0
+        rows = np.array([n + 1] * (self.k + 1) + [n + 2] * (n - self.k + 2))
+        out = []
+        for start, chunk in geo.grid_chunks(points):
+            g = self.spec.connection_data_batch(chunk)[0]
+            # P[j, b, a] = G(e_b, eta_a) at the j-th point of the chunk
+            P = bd.assemble_gram(g) @ np.asarray(
+                frames[start:start + len(chunk)])
+            out += [ImmersionSample(point=tuple(map(float, point)),
+                                    psi=eps * Pj[rows, np.arange(N)],
+                                    normal=eps * Pj[n, :],
+                                    dpsi=(eps[None, :] * Pj[:n, :]).T)
+                    for point, Pj in zip(chunk, P)]
+        return out
+
     def sample(self, point):
-        M = self._cache.frame_at(point)
-        return _sample_from_frame(self.spec, point, M, self.k)
+        return self.samples([point])[0]
 
     def samples(self, points):
-        # warm the prefix cache sequentially, then read points in order
-        return [self.sample(p) for p in points]
-
-    def model(self):
-        return AmbientModel(self.spec.n, self.k)
+        return self._assemble(points, [self._frame(p) for p in points])
 
 
 def immerse(spec, points=None, base=None, step=bd.DEFAULT_STEP,
@@ -246,27 +234,25 @@ DEFAULT_VALIDATION_TOLERANCES = {
 
 
 def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
-                     grid_density=8, tolerances=None, fd_step=1e-4,
-                     admission=None, admission_tol=st.DEFAULT_TOLERANCE):
+                     grid_density=8, admission=None):
     """Reconstruct and check the immersion against the model geometry.
 
     Refuses structures that fail admission.  Checks, as sups over the
     sample points: quadric membership and sheet, isometry, unit normal,
     the shape operator (finite differences of the normal), and the
     product-structure relations Fhat psi_* v = psi_*(fv) + u(v) N and
-    Fhat N = psi_* U + lam N.
+    Fhat N = psi_* U + lam N.  Admission runs over ``points`` unless given.
     """
+    if points is None:
+        points = spec.chart.grid(grid_density)
     if admission is None:
-        admission = st.admit(spec, tol=admission_tol, grid_density=grid_density)
+        admission = st.admit(spec, grid=points)
     if not admission.admissible:
         raise st.InadmissibleStructureError(
             "structure fails admission: " + "; ".join(admission.reasons))
-    if points is None:
-        points = spec.chart.grid(grid_density)
     imm = Immersion(spec, k=admission.k, base=base, step=step)
-    model = imm.model()
+    model = AmbientModel(spec.n, imm.k)
     J = model.minkowski
-    n = spec.n
     res = {key: 0.0 for key in DEFAULT_VALIDATION_TOLERANCES}
     samples = imm.samples(points)
     for point, s, ev in zip(points, samples, spec.eval_points(points)):
@@ -292,31 +278,37 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
         s.residuals["product_relations"] = prod
 
         s.residuals["shape_operator"] = _shape_fd_residual(
-            imm, model, point, ev, s, fd_step)
+            imm, model, point, ev, s)
         for key in res:
             res[key] = max(res[key], s.residuals[key])
 
     tols = dict(DEFAULT_VALIDATION_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
     return TheoremReport(k=imm.k, residuals=res, tolerances=tols,
                          samples=samples, admission=admission)
 
 
-def _shape_fd_residual(imm, model, point, ev, s, h):
-    """|nabla_v N + psi_*(S v)| with the normal differentiated numerically."""
+def _shape_fd_residual(imm, model, point, ev, s, h=1e-4):
+    """|nabla_v N + psi_*(S v)| with the normal differentiated numerically
+    at point +- h e_i, transported there from the sampled point's frame."""
     chart = imm.spec.chart
-    worst = 0.0
+    M = imm.frames[tuple(map(float, point))]
+    axes, ends = [], []
     for i in range(imm.spec.n):
         lo, hi = chart.box[i]
         hp = min(h, 0.25 * (hi - point[i]), 0.25 * (point[i] - lo))
         if hp <= 0.0:
             continue
-        fwd = np.array(point, dtype=float)
-        bwd = np.array(point, dtype=float)
-        fwd[i] += hp
-        bwd[i] -= hp
-        dN = (imm.sample(fwd).normal - imm.sample(bwd).normal) / (2.0 * hp)
+        axes.append((i, hp))
+        for sign in (1.0, -1.0):
+            end = np.array(point, dtype=float)
+            end[i] += sign * hp
+            ends.append(end)
+    frames = [imm.conn.transport_segment(point, end, M, step=imm.step)
+              for end in ends]
+    normals = [t.normal for t in imm._assemble(ends, frames)]
+    worst = 0.0
+    for (i, hp), fwd, bwd in zip(axes, normals[0::2], normals[1::2]):
+        dN = (fwd - bwd) / (2.0 * hp)
         X = s.dpsi[:, i]
         corr = (0.5 * model.inner(X + model.fhat @ X, s.normal) * model.xi1(s.psi)
                 - 0.5 * model.inner(X - model.fhat @ X, s.normal) * model.xi2(s.psi))

@@ -1,5 +1,6 @@
-"""Per-point reference versions of the admission checks, and per-point
-residuals of the bundle connection.
+"""Per-point reference versions of the admission checks and of the
+reconstruction's sample read-off, and per-point residuals of the bundle
+connection.
 
 The admission checks are the triple loops the batched checks in
 ``structure`` replaced: one point at a time, one basis vector, pair or
@@ -268,3 +269,16 @@ def parallel_map_residual(spec, point, ev=None):
         dF = bd.assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i], 0.0)
         worst = max(worst, float(np.abs(dF + A[i] @ F - F @ A[i]).max()))
     return worst
+
+
+def sample_from_frame(spec, point, M, k):
+    """psi, N and dpsi at one point from its frame components M."""
+    n = spec.n
+    N = n + 3
+    g, *_ = spec.connection_data_at(point)
+    P = bd.assemble_gram(g) @ M                 # P[b, a] = G(e_b, eta_a)
+    eps = np.ones(N)
+    eps[-1] = -1.0
+    rows = np.array([n + 1] * (k + 1) + [n + 2] * (n - k + 2))
+    return (eps * P[rows, np.arange(N)], eps * P[n, :],
+            (eps[None, :] * P[:n, :]).T)

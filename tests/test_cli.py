@@ -110,6 +110,57 @@ def test_schema_errors_exit_2(capsys, tmp_path, mutate):
     assert err.startswith("error:")
 
 
+def slice_hypersurface_doc():
+    return {
+        "kind": "hypersurface",
+        "n": 2,
+        "k": 1,
+        "coords": ["u1", "u2"],
+        "domain": [[-0.9, 0.9], [-0.9, 0.9]],
+        "base_point": [0.1, -0.2],
+        "fields": {"x": ["cos(u1)", "sin(u1)", "0", "sinh(u2)", "cosh(u2)"]},
+    }
+
+
+def _with(**changes):
+    return lambda doc: doc.update(changes)
+
+
+def _with_field(**fields):
+    return lambda doc: doc["fields"].update(fields)
+
+
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+@pytest.mark.parametrize("make,mutate,named", [
+    (slice_hypersurface_doc, _with(k="x"), "'k'"),
+    (slice_hypersurface_doc, _with(k=None), "'k'"),
+    (slice_hypersurface_doc, _with(k=1.5), "'k'"),
+    (slice_hypersurface_doc, _with(k=True), "'k'"),
+    (slice_hypersurface_doc, _with_field(x="cos(u1)"), "at x"),
+    (slice_hypersurface_doc, _with(coords=["u1", "u1"]), "coordinate names"),
+    (flat_slice_doc, _with(k="x"), "'k'"),
+    (flat_slice_doc, _with(k=1.5), "'k'"),
+    (flat_slice_doc, _with(k=0), "'k'"),
+    (flat_slice_doc, _with(k=True), "'k'"),
+    (flat_slice_doc, _with_field(**{"lambda": ["-1"]}), "at lambda"),
+    (flat_slice_doc, _with(coords=["u1", "u1"]), "coordinate names"),
+    (flat_slice_doc, _with(n=True), "'n'"),
+], ids=["hyp-k-str", "hyp-k-null", "hyp-k-float", "hyp-k-bool",
+        "hyp-x-str", "hyp-coords-repeat", "st-k-str", "st-k-float",
+        "st-k-0", "st-k-bool", "st-lambda-list", "st-coords-repeat",
+        "st-n-bool"])
+def test_malformed_fields_exit_2(capsys, tmp_path, command, make, mutate,
+                                 named):
+    doc = make()
+    mutate(doc)
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc),
+                         "--grid", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_expression_overflow_exits_2(capsys, tmp_path):
     doc = flat_slice_doc()
     doc["fields"]["lambda"] = "-1 + 1e-300*cosh(1000*u1)"

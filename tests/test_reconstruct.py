@@ -1,6 +1,7 @@
 """Immersion reconstruction from admissible structures."""
 
 import numpy as np
+import oracles
 import pytest
 
 from immersion_forge import ambient as am
@@ -135,3 +136,60 @@ def test_pushforward_matches_position_finite_differences(catalog_structures):
     fd = (imm.sample((point[0] + h,)).psi
           - imm.sample((point[0] - h,)).psi) / (2 * h)
     assert np.abs(fd - s.dpsi[:, 0]).max() < 1e-8
+
+
+@pytest.mark.parametrize("name,density", [
+    ("perturbed_geodesic", 5),
+    ("diagonal_geodesic", 5),
+    ("diagonal_cylinder", 3),
+])
+def test_shape_check_does_not_carry_transport_error(name, density,
+                                                    catalog_structures):
+    # the normals are differentiated off each grid frame along +-h, so
+    # a coarser transport step must not move the finite difference
+    _, spec = catalog_structures[name]
+    coarse, fine = (rc.validate_theorem(spec, grid_density=density, step=s)
+                    .residuals["shape_operator"] for s in (1e-2, 1e-3))
+    assert max(coarse / fine, fine / coarse) <= 1.05
+
+
+def test_frame_table_matches_uncached_transport(catalog_structures,
+                                                monkeypatch):
+    _, spec = catalog_structures["diagonal_cylinder"]
+    points = spec.chart.grid(3)
+    monkeypatch.setattr(geo, "GRID_CHUNK", 4)   # samples span three chunks
+    imm = rc.Immersion(spec, step=1e-2)
+    samples = imm.samples(points)
+    for p, s in zip(points, samples):
+        reference = imm.conn.transport(bd.staircase_path(imm.base, p),
+                                       M=imm.base_frame, step=1e-2)
+        assert np.array_equal(imm.frames[p], reference)
+        one = imm.sample(p)
+        expected = oracles.sample_from_frame(spec, p, reference, imm.k)
+        for field, ref in zip(("psi", "normal", "dpsi"), expected):
+            assert np.abs(getattr(one, field) - getattr(s, field)).max() <= 1e-15
+            assert np.abs(getattr(s, field) - ref).max() <= 1e-15
+
+
+def test_validation_walks_staircases_to_grid_points_only(catalog_structures,
+                                                        monkeypatch):
+    _, spec = catalog_structures["diagonal_cylinder"]
+    points = spec.chart.grid(3)
+    ends = []
+    original = bd.staircase_path
+
+    def recording(p0, p1):
+        ends.append(tuple(map(float, p1)))
+        return original(p0, p1)
+
+    monkeypatch.setattr(bd, "staircase_path", recording)
+    rc.validate_theorem(spec, points, step=1e-2)
+    assert ends
+    assert set(ends) <= set(points) | {spec.chart.base_point}
+
+
+def test_validation_admits_the_sample_points(catalog_structures):
+    _, spec = catalog_structures["diagonal_cylinder"]
+    points = spec.chart.grid(3)
+    report = rc.validate_theorem(spec, points, step=1e-2)
+    assert len(report.admission.per_point) == len(points)
