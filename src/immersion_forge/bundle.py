@@ -8,15 +8,18 @@ component vector c is parallel along a curve gamma iff
     dc/dt = -(sum_i gamma'_i A_i(gamma(t))) c.
 
 Admissible structures make this connection flat and metric; transport is a
-fixed-step RK4 integration of the matrix ODE along polyline paths.
+fixed-step RK4 integration of the matrix ODE along polyline paths.  Each RK4
+step of this linear ODE is a matrix that does not depend on the frame, so a
+segment advances by one ordered product of step propagators per block of
+steps, and the stage points of many segments share field batches.
 """
 
 import numpy as np
 
 DEFAULT_STEP = 1e-3
-# RK4 steps whose stage points are evaluated in one batched call; bounds
-# the memory of a segment at any step size
-STAGE_BLOCK = 256
+# RK4 steps per block propagator, and steps' worth of stage points per
+# batched field call; bounds transport memory at any step size
+STAGE_BLOCK = 128
 
 
 class BundleError(Exception):
@@ -104,34 +107,50 @@ class ConnectionField:
 
     # -- transport ----------------------------------------------------------
 
-    def transport_segment(self, p0, p1, M, step=DEFAULT_STEP):
-        """RK4 transport of component matrix M along the straight segment."""
-        p0 = np.asarray(p0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        delta = p1 - p0
-        length = float(np.linalg.norm(delta))
-        if length == 0.0:
-            return M.copy()
-        steps = max(1, int(np.ceil(length / step)))
-        h = 1.0 / steps
+    def block_steps(self, segments, step=DEFAULT_STEP):
+        """Block steps of each of ``segments``, (p0, p1) pairs, in order.
+
+        A segment takes ceil(length / step) RK4 steps of h = 1 / steps, cut
+        into blocks of at most STAGE_BLOCK steps from its own start; each
+        block gives ``_block_step`` of its stage matrices
+        B = -delta . A(p0 + t delta).  The stage points of consecutive
+        blocks are evaluated 2 STAGE_BLOCK + 1 per field call, each row on
+        its own, so a segment's result does not depend on the segments
+        batched with it, and memory stays bounded at any step.
+        """
+        blocks = [(j, first, steps, min(STAGE_BLOCK, steps - first))
+                  for j, (p0, p1) in enumerate(segments)
+                  for steps in [int(np.ceil(np.linalg.norm(
+                      np.subtract(p1, p0, dtype=float)) / step))]
+                  for first in range(0, steps, STAGE_BLOCK)]
+        out = [[] for _ in segments]
+        seg, first, steps, count = np.array(blocks, dtype=int).reshape(-1, 4).T
+        p0 = np.array([start for start, _ in segments], dtype=float)[seg]
+        delta = np.array([end for _, end in segments], dtype=float)[seg] - p0
+        ends = np.cumsum(2 * count + 1)
+        B = np.empty((0, self.fiber_dim, self.fiber_dim))
+        for k, size in enumerate(2 * count + 1):
+            while len(B) < size:
+                done = ends[k] - size + len(B)      # rows evaluated so far
+                r = np.arange(done, min(done + 2 * STAGE_BLOCK + 1, ends[-1]))
+                i = np.searchsorted(ends, r, side="right")   # block of row r
+                t = (2 * (first[i] + count[i]) + 1 + r - ends[i]) / (2.0 * steps[i])
+                A = assemble_coefficients(*self.spec.connection_data_batch(
+                    p0[i] + t[:, None] * delta[i]))
+                B = np.concatenate([B, -np.einsum("ji,jiab->jab", delta[i], A)])
+            out[seg[k]].append(_block_step(B[:size], 1.0 / steps[k]))
+            B = B[size:]
+        return out
+
+    def transport_segment(self, p0, p1, M, step=DEFAULT_STEP, blocks=None):
+        """RK4 transport of component matrix M along the straight segment,
+        M <- M + D M for each block step D in ``blocks`` (the segment's
+        entry of ``block_steps``, computed here when not given)."""
+        if blocks is None:
+            (blocks,) = self.block_steps([(p0, p1)], step)
         M = np.array(M, dtype=float)
-        for first in range(0, steps, STAGE_BLOCK):
-            count = min(STAGE_BLOCK, steps - first)
-            # stage times of steps first .. first + count - 1: starts at
-            # even, midpoints at odd indices; the last entry ends the block
-            t = np.empty(2 * count + 1)
-            t[0::2] = np.arange(first, first + count + 1) * h
-            t[1::2] = t[:-1:2] + 0.5 * h
-            A = assemble_coefficients(
-                *self.spec.connection_data_batch(p0 + t[:, None] * delta))
-            B = -np.einsum("i,jiab->jab", delta, A)
-            for s in range(count):
-                B2 = B[2 * s + 1]   # shared by the two midpoint stages
-                k1 = B[2 * s] @ M
-                k2 = B2 @ (M + 0.5 * h * k1)
-                k3 = B2 @ (M + 0.5 * h * k2)
-                k4 = B[2 * s + 2] @ (M + h * k3)
-                M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for D in blocks:
+            M = M + D @ M
         return M
 
     def transport(self, waypoints, M=None, step=DEFAULT_STEP):
@@ -141,8 +160,9 @@ class ConnectionField:
             raise BundleError("empty path")
         if M is None:
             M = np.eye(self.fiber_dim)
-        for a, b in zip(waypoints[:-1], waypoints[1:]):
-            M = self.transport_segment(a, b, M, step=step)
+        segments = list(zip(waypoints[:-1], waypoints[1:]))
+        for (a, b), blocks in zip(segments, self.block_steps(segments, step)):
+            M = self.transport_segment(a, b, M, step=step, blocks=blocks)
         return M
 
     def gram_drift(self, waypoints, step=DEFAULT_STEP):
@@ -151,6 +171,25 @@ class ConnectionField:
         G0 = self.gram(waypoints[0])
         G1 = self.gram(waypoints[-1])
         return float(np.abs(M.T @ G1 @ M - G0).max())
+
+
+def _block_step(B, h):
+    """P - I for the product P of the RK4 steps P_s = I + h/6 (K1 + 2 K2 +
+    2 K3 + K4) of M' = B M over a block; K1 = B0, K2 = Bm (I + h/2 K1),
+    K3 = Bm (I + h/2 K2), K4 = B1 (I + h K3).  Multiplied as a binary tree
+    of neighbour pairs, later steps on the left, as deviations from I,
+    (I + a)(I + b) = I + a + b + ab: forming I + a rounds off a's low bits.
+    """
+    B0, Bm, B1 = B[0:-1:2], B[1::2], B[2::2]
+    K2 = Bm + (0.5 * h) * (Bm @ B0)
+    K3 = Bm + (0.5 * h) * (Bm @ K2)
+    K4 = B1 + h * (B1 @ K3)
+    D = (h / 6.0) * (B0 + 2.0 * K2 + 2.0 * K3 + K4)
+    while len(D) > 1:
+        a, b = D[1::2], D[0:len(D) - 1:2]
+        pairs = a + b + a @ b
+        D = np.concatenate([pairs, D[-1:]]) if len(D) % 2 else pairs
+    return D[0]
 
 
 def staircase_path(p0, p1):

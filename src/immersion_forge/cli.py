@@ -30,6 +30,7 @@ domain or overflows) or off-model data.
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -186,13 +187,13 @@ def as_hypersurface(obj):
 # report writing
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(lines)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -203,9 +204,8 @@ def _atomic_write(path, text):
 
 
 def _jsonl(records, summary):
-    lines = [json.dumps(r) for r in records]
-    lines.append(json.dumps({"summary": True, **summary}))
-    return "\n".join(lines) + "\n"
+    for rec in itertools.chain(records, [{"summary": True, **summary}]):
+        yield json.dumps(rec) + "\n"
 
 
 def _csv_table(records):
@@ -221,20 +221,18 @@ def _csv_table(records):
 
 
 def emit(config, records, summary):
+    """Write the report; ``records`` may be lazy, and JSON lines are
+    written one at a time."""
     if config.format == "csv":
-        text = _csv_table(records)
-        if config.out:
-            _atomic_write(config.out, text)
-        else:
-            sys.stdout.write(text)
-        print(json.dumps({"summary": True, **summary}))
+        lines = [_csv_table(list(records))]
     else:
-        text = _jsonl(records, summary)
-        if config.out:
-            _atomic_write(config.out, text)
-            print(json.dumps({"summary": True, **summary}))
-        else:
-            sys.stdout.write(text)
+        lines = _jsonl(records, summary)
+    if config.out:
+        _atomic_write(config.out, lines)
+    else:
+        sys.stdout.writelines(lines)
+    if config.out or config.format == "csv":
+        print(json.dumps({"summary": True, **summary}))
 
 
 def _flatten_sample(chart, s):
@@ -260,17 +258,19 @@ def cmd_check(config):
     spec = as_structure(obj, grid=grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     report = st.admit(spec, grid=grid, tol=tol)
-    records = []
-    for point, per in zip(grid, report.per_point):
-        rec = {f"point_{n}": float(v)
-               for n, v in zip(spec.chart.coords, point)}
-        if per is None:
-            rec["res_skipped"] = 1.0
-        else:
-            for key, val in per.items():
-                rec[f"res_{key}"] = float(val)
-        records.append(rec)
-    emit(config, records, report.to_dict())
+
+    def records():
+        for point, per in zip(grid, report.per_point):
+            rec = {f"point_{n}": float(v)
+                   for n, v in zip(spec.chart.coords, point)}
+            if per is None:
+                rec["res_skipped"] = 1.0
+            else:
+                for key, val in per.items():
+                    rec[f"res_{key}"] = float(val)
+            yield rec
+
+    emit(config, records(), report.to_dict())
     return 0 if report.admissible else 1
 
 
@@ -286,8 +286,8 @@ def cmd_reconstruct(config):
         return 1
     report = rc.validate_theorem(
         spec, grid, base=config.base, step=config.step, admission=admission)
-    records = [_flatten_sample(spec.chart, s) for s in report.samples]
-    emit(config, records, report.to_dict())
+    emit(config, (_flatten_sample(spec.chart, s) for s in report.samples),
+         report.to_dict())
     return 0 if report.valid else 1
 
 

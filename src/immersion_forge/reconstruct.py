@@ -14,6 +14,7 @@ obtained by parallel transport along staircase paths from the base point;
 each corner of those paths is transported once, from the corner before it.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,17 +146,6 @@ class Immersion:
                 or np.abs(F @ E0[:, sph:] + E0[:, sph:]).max() > 1e-8):
             raise ReconstructionError("base frame is not adapted to F")
 
-    def _frame(self, point):
-        """Frame components at ``point``, filling the frame table."""
-        path = bd.staircase_path(self.base, point)
-        M = self.frames[path[0]]
-        for a, b in zip(path[:-1], path[1:]):
-            if b not in self.frames:
-                self.frames[b] = self.conn.transport_segment(
-                    a, b, M, step=self.step)
-            M = self.frames[b]
-        return M
-
     def _assemble(self, points, frames):
         """Read off psi, dpsi and N at ``points`` from their frame
         components, evaluating g once per ``geometry.GRID_CHUNK`` points."""
@@ -181,7 +171,21 @@ class Immersion:
         return self.samples([point])[0]
 
     def samples(self, points):
-        return self._assemble(points, [self._frame(p) for p in points])
+        """Samples at ``points``.  The frame table is first filled at their
+        missing staircase corners, parents first, from one ``block_steps``
+        run over all of them."""
+        ends, todo = [], {}         # missing corner -> the corner before it
+        for p in points:
+            path = bd.staircase_path(self.base, p)
+            ends.append(path[-1])
+            todo.update((b, a) for a, b in zip(path[:-1], path[1:])
+                        if b not in self.frames)
+        segments = [(a, b) for b, a in todo.items()]
+        for (a, b), blocks in zip(segments,
+                                  self.conn.block_steps(segments, self.step)):
+            self.frames[b] = self.conn.transport_segment(
+                a, b, self.frames[a], step=self.step, blocks=blocks)
+        return self._assemble(points, [self.frames[e] for e in ends])
 
 
 def immerse(spec, points=None, base=None, step=bd.DEFAULT_STEP,
@@ -255,7 +259,8 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
     J = model.minkowski
     res = {key: 0.0 for key in DEFAULT_VALIDATION_TOLERANCES}
     samples = imm.samples(points)
-    for point, s, ev in zip(points, samples, spec.eval_points(points)):
+    for s, (ev, shape) in zip(samples, _shape_fd_residuals(
+            imm, model, samples, spec.eval_points(points))):
         x = s.psi
         quad = model.on_model_residual(x)
         if x[-1] <= 0.0:
@@ -277,8 +282,7 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
             Fhat @ s.normal - s.dpsi @ ev.U - ev.lam * s.normal).max()))
         s.residuals["product_relations"] = prod
 
-        s.residuals["shape_operator"] = _shape_fd_residual(
-            imm, model, point, ev, s)
+        s.residuals["shape_operator"] = shape
         for key in res:
             res[key] = max(res[key], s.residuals[key])
 
@@ -287,30 +291,35 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
                          samples=samples, admission=admission)
 
 
-def _shape_fd_residual(imm, model, point, ev, s, h=1e-4):
-    """|nabla_v N + psi_*(S v)| with the normal differentiated numerically
-    at point +- h e_i, transported there from the sampled point's frame."""
-    chart = imm.spec.chart
-    M = imm.frames[tuple(map(float, point))]
-    axes, ends = [], []
-    for i in range(imm.spec.n):
-        lo, hi = chart.box[i]
-        hp = min(h, 0.25 * (hi - point[i]), 0.25 * (point[i] - lo))
-        if hp <= 0.0:
-            continue
-        axes.append((i, hp))
-        for sign in (1.0, -1.0):
-            end = np.array(point, dtype=float)
-            end[i] += sign * hp
-            ends.append(end)
-    frames = [imm.conn.transport_segment(point, end, M, step=imm.step)
-              for end in ends]
-    normals = [t.normal for t in imm._assemble(ends, frames)]
-    worst = 0.0
-    for (i, hp), fwd, bwd in zip(axes, normals[0::2], normals[1::2]):
-        dN = (fwd - bwd) / (2.0 * hp)
-        X = s.dpsi[:, i]
-        corr = (0.5 * model.inner(X + model.fhat @ X, s.normal) * model.xi1(s.psi)
-                - 0.5 * model.inner(X - model.fhat @ X, s.normal) * model.xi2(s.psi))
-        worst = max(worst, float(np.abs(dN + corr + s.dpsi @ ev.S[:, i]).max()))
-    return worst
+def _shape_fd_residuals(imm, model, samples, evs, h=1e-4):
+    """(ev, |nabla_v N + psi_*(S v)|) for each sample and its StructureEval
+    from ``evs``, with the normal differentiated numerically at point
+    +- h e_i, transported there from the sample's frame.  The segments of
+    each ``geometry.GRID_CHUNK`` samples share their field batches and one
+    read-off of the normals."""
+    eye = np.eye(imm.spec.n)
+    for start in range(0, len(samples), geo.GRID_CHUNK):
+        part = samples[start:start + geo.GRID_CHUNK]
+        axes = [[(i, hp) for i, (lo, hi) in enumerate(imm.spec.chart.box)
+                 if (hp := min(h, 0.25 * (hi - s.point[i]),
+                               0.25 * (s.point[i] - lo))) > 0.0]
+                for s in part]
+        segments = [(s.point, np.add(s.point, sign * hp * eye[i]))
+                    for s, mine in zip(part, axes) for i, hp in mine
+                    for sign in (1.0, -1.0)]
+        frames = [imm.conn.transport_segment(p0, p1, imm.frames[p0],
+                                             step=imm.step, blocks=blocks)
+                  for (p0, p1), blocks in zip(
+                      segments, imm.conn.block_steps(segments, imm.step))]
+        normals = iter([t.normal for t in imm._assemble(
+            [p1 for _, p1 in segments], frames)])
+        for s, ev, mine in zip(part, itertools.islice(evs, len(part)), axes):
+            worst = 0.0
+            for i, hp in mine:
+                dN = (next(normals) - next(normals)) / (2.0 * hp)
+                X, FX = s.dpsi[:, i], model.fhat @ s.dpsi[:, i]
+                corr = (0.5 * model.inner(X + FX, s.normal) * model.xi1(s.psi)
+                        - 0.5 * model.inner(X - FX, s.normal) * model.xi2(s.psi))
+                defect = dN + corr + s.dpsi @ ev.S[:, i]
+                worst = max(worst, float(np.abs(defect).max()))
+            yield ev, worst

@@ -162,7 +162,7 @@ def _reference_transport(conn, p0, p1, M, step):
 
 
 @pytest.mark.parametrize("name,p0,p1,step", [
-    # 571 steps: two full stage blocks and a partial one
+    # 571 steps: several full stage blocks and a partial one
     ("diagonal_cylinder", (-0.4, -0.3), (0.5, 0.4), 2e-3),
     ("perturbed_geodesic", (-0.3,), (0.4,), 1e-2),
     ("geodesic_slice_n3", (-0.2, 0.1, -0.3), (0.3, -0.2, 0.2), 1e-2),
@@ -195,3 +195,72 @@ def test_transport_rejects_division_by_zero_at_stage_point():
     conn = bd.ConnectionField(_line_structure(S="1/u1"))
     with pytest.raises(ex.DomainError, match=r"division by zero at \(0\.0,\)"):
         conn.transport_segment((-0.5,), (0.5,), np.eye(4), step=0.1)
+
+
+# -- shared stage batches ----------------------------------------------------
+
+
+def test_segment_in_shared_batch_equals_segment_alone(cylinder, rng,
+                                                      monkeypatch):
+    spec, conn = cylinder
+    step = 2e-3
+    long = ((-0.4, -0.3), (0.5, 0.4))           # 571 steps
+    assert np.ceil(np.linalg.norm(np.subtract(long[1], long[0])) / step) \
+        > bd.STAGE_BLOCK
+    segments = [((0.1, 0.2), (0.1, 0.23)), long, ((0.3, 0.3), (0.3, 0.3)),
+                ((-0.2, 0.1), (0.25, 0.1))]
+    calls = []
+    original = st.StructureSpec.connection_data_batch
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(st.StructureSpec, "connection_data_batch", counting)
+    M0 = np.eye(conn.fiber_dim) + 0.1 * rng.standard_normal(
+        (conn.fiber_dim, conn.fiber_dim))
+    shared = [conn.transport_segment(p0, p1, M0, step=step, blocks=blocks)
+              for (p0, p1), blocks in zip(segments,
+                                          conn.block_steps(segments, step))]
+    shared_calls = len(calls)
+    alone = [conn.transport_segment(p0, p1, M0, step=step)
+             for p0, p1 in segments]
+    # the segments do share calls, cut across segment and block boundaries
+    assert shared_calls < len(calls) - shared_calls
+    for got, want in zip(shared, alone):
+        assert np.array_equal(got, want)
+    # the zero-length segment has no blocks and returns a copy of M
+    assert conn.block_steps(segments[2:3], step) == [[]]
+    assert np.array_equal(shared[2], M0) and shared[2] is not M0
+    assert conn.block_steps([], step) == []
+
+
+def test_multi_segment_transport_matches_per_point_reference(cylinder, rng):
+    spec, conn = cylinder
+    step = 1e-2
+    path = [(-0.5, -0.4), (0.2, -0.4), (0.2, 0.5), (0.2, 0.5), (-0.3, 0.1)]
+    M0 = np.eye(conn.fiber_dim) + 0.1 * rng.standard_normal(
+        (conn.fiber_dim, conn.fiber_dim))
+    want = M0
+    for p0, p1 in zip(path[:-1], path[1:]):
+        if p0 != p1:
+            want = _reference_transport(conn, p0, p1, want, step)
+    got = conn.transport(path, M=M0, step=step)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("structure,error", [
+    (dict(g="u1^2"), geo.SingularMetricError),
+    (dict(S="1/u1"), ex.DomainError),
+])
+def test_stage_point_error_names_the_same_point_in_a_shared_batch(
+        structure, error):
+    # the first segment is regular; the second meets u1 = 0 at a midpoint
+    conn = bd.ConnectionField(_line_structure(**structure))
+    path = [(-0.9,), (-0.5,), (0.5,)]
+    with pytest.raises(error) as alone:
+        conn.transport_segment(path[1], path[2], np.eye(4), step=0.2)
+    with pytest.raises(error) as shared:
+        conn.transport(path, step=0.2)
+    assert "at (0.0,)" in str(alone.value)
+    assert str(shared.value) == str(alone.value)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from immersion_forge import cli
+from immersion_forge import structure as st
 
 
 def run(capsys, *argv):
@@ -355,3 +356,31 @@ def test_unknown_catalog_entry_exits_2(capsys):
     code, _, err = run(capsys, "check", "catalog:bogus")
     assert code == 2
     assert "unknown catalog entry" in err
+
+
+def _check_report_text(source, grid):
+    """The check report as one joined string, records built eagerly."""
+    obj = cli.load_input(source)
+    points = obj.chart.grid(grid)
+    spec = cli.as_structure(obj, grid=points)
+    report = st.admit(spec, grid=points)
+    lines = []
+    for point, per in zip(points, report.per_point):
+        rec = {f"point_{n}": float(v) for n, v in zip(spec.chart.coords, point)}
+        rec.update({"res_skipped": 1.0} if per is None else
+                   {f"res_{key}": float(val) for key, val in per.items()})
+        lines.append(json.dumps(rec))
+    lines.append(json.dumps({"summary": True, **report.to_dict()}))
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_check_report_is_byte_identical(capsys, tmp_path):
+    expected = _check_report_text("catalog:diagonal_cylinder", 8)
+    code, out, _ = run(capsys, "check", "catalog:diagonal_cylinder")
+    assert code == 0
+    assert out == expected
+    out_path = tmp_path / "report.jsonl"
+    code, out, _ = run(capsys, "check", "catalog:diagonal_cylinder",
+                       "--out", str(out_path))
+    assert out_path.read_bytes() == expected.encode("utf-8")
+    assert out == expected.splitlines(keepends=True)[-1]

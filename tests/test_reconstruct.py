@@ -193,3 +193,51 @@ def test_validation_admits_the_sample_points(catalog_structures):
     points = spec.chart.grid(3)
     report = rc.validate_theorem(spec, points, step=1e-2)
     assert len(report.admission.per_point) == len(points)
+
+
+def _count_field_calls(monkeypatch):
+    calls = []
+    original = st.StructureSpec.connection_data_batch
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(st.StructureSpec, "connection_data_batch", counting)
+    return calls
+
+
+def test_immerse_shares_stage_calls_across_segments(catalog_structures,
+                                                    monkeypatch):
+    _, spec = catalog_structures["geodesic_slice_n3"]
+    points = spec.chart.grid(2)
+    step = 0.008
+    corners = {}            # staircase corner -> the corner before it
+    for p in points:
+        path = bd.staircase_path(spec.chart.base_point, p)
+        corners.update(zip(path[1:], path[:-1]))
+    steps = sum(int(np.ceil(np.linalg.norm(np.subtract(b, a)) / step))
+                for b, a in corners.items())
+    calls = _count_field_calls(monkeypatch)
+    rc.immerse(spec, points, step=step)
+    chunks = -(-len(points) // geo.GRID_CHUNK)
+    assert len(corners) == 14           # one stage call each, unbatched
+    assert len(calls) <= -(-steps // bd.STAGE_BLOCK) + chunks
+
+
+def test_shape_check_field_calls_do_not_grow_with_the_grid(catalog_structures,
+                                                          monkeypatch):
+    _, spec = catalog_structures["diagonal_cylinder"]
+    calls = _count_field_calls(monkeypatch)
+    counts = []
+    for density in (2, 4):
+        points = spec.chart.grid(density)
+        admission = st.admit(spec, grid=points)
+        calls.clear()
+        rc.immerse(spec, points, step=1e-2)
+        fill = len(calls)
+        calls.clear()
+        rc.validate_theorem(spec, points, step=1e-2, admission=admission)
+        counts.append(len(calls) - fill)
+    # one stage call and one read-off of the normals, at 4 and at 16 points
+    assert counts == [2, 2]
