@@ -12,7 +12,7 @@ from .ambient import (AmbientModel, ParametrizedHypersurface, audit_equations,
                       solve_congruence)
 from .bundle import ConnectionField, staircase_path
 from .geometry import Chart, MetricField
-from .reconstruct import Immersion, ImmersionSample, immerse, validate_theorem
+from .reconstruct import Immersion, Samples, immerse, validate_theorem
 from .structure import (CompatibilityReport, InadmissibleStructureError,
                         StructureSpec, admit, determine_k)
 
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientModel", "Chart", "CompatibilityReport", "ConnectionField",
-    "Immersion", "ImmersionSample", "InadmissibleStructureError",
-    "MetricField", "ParametrizedHypersurface", "StructureSpec",
+    "Immersion", "InadmissibleStructureError", "MetricField",
+    "ParametrizedHypersurface", "Samples", "StructureSpec",
     "admit", "audit_equations", "catalog_entry", "catalog_names",
     "determine_k", "extract_structure", "immerse", "solve_congruence",
     "staircase_path", "validate_theorem", "__version__",

@@ -37,7 +37,8 @@ class NotTangentError(AmbientError):
 
 @dataclass(frozen=True)
 class AmbientModel:
-    """S^k x H^(n-k+1) inside the (n+3)-dimensional Minkowski space."""
+    """S^k x H^(n-k+1) in the (n+3)-dimensional Minkowski space; points and
+    vectors may carry leading axes (not in require_tangent and wedge)."""
 
     n: int
     k: int
@@ -57,38 +58,35 @@ class AmbientModel:
     def inner(self, x, y):
         return geo.minkowski_inner(x, y)
 
-    def c1(self, x):
-        s = self.k + 1
-        return geo.dot(x[..., :s], x[..., :s]) - 1.0
-
-    def c2(self, x):
-        s = self.k + 1
-        return (geo.dot(x[..., s:-1], x[..., s:-1])
-                - x[..., -1] * x[..., -1] + 1.0)
-
     def xi1(self, x):
-        out = np.zeros(self.dim)
-        out[:self.k + 1] = x[:self.k + 1]
-        return out
+        return np.where(np.arange(self.dim) <= self.k, x, 0.0)
 
     def xi2(self, x):
-        out = np.zeros(self.dim)
-        out[self.k + 1:] = x[self.k + 1:]
-        return out
+        return x - self.xi1(x)
 
     @property
     def fhat(self):
-        d = np.ones(self.dim)
-        d[self.k + 1:] = -1.0
-        return np.diag(d)
+        return np.diag(np.where(np.arange(self.dim) <= self.k, 1.0, -1.0))
 
     def on_model_residual(self, x):
-        """max(|c1|, |c2|); x may carry leading point axes, as may c1, c2."""
-        return np.maximum(np.abs(self.c1(x)), np.abs(self.c2(x)))
+        """max(|c1|, |c2|)."""
+        s = self.k + 1
+        c1 = geo.dot(x[..., :s], x[..., :s]) - 1.0
+        c2 = self.inner(x[..., s:], x[..., s:]) + 1.0
+        return np.maximum(np.abs(c1), np.abs(c2))
 
     def tangency_residual(self, x, v):
-        return max(abs(self.inner(v, self.xi1(x))),
-                   abs(self.inner(v, self.xi2(x))))
+        return np.maximum(np.abs(self.inner(v, self.xi1(x))),
+                          np.abs(self.inner(v, self.xi2(x))))
+
+    def connection_correction(self, x, X, Y):
+        """(<X + Fhat X, Y> xi1(x) - <X - Fhat X, Y> xi2(x)) / 2, which the
+        model's connection adds to the flat derivative D_X Y at x."""
+        FX = geo.matvec(self.fhat, X)
+        corr1 = 0.5 * self.inner(X + FX, Y)
+        corr2 = 0.5 * self.inner(X - FX, Y)
+        return (corr1[..., None] * self.xi1(x)
+                - corr2[..., None] * self.xi2(x))
 
     def require_tangent(self, x, *vectors, tol=1e-10):
         if self.on_model_residual(x) > tol:
@@ -111,11 +109,8 @@ def ambient_connection(model, x, X, Y, dY, tol=1e-10):
     """
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     model.require_tangent(x, X, Y, tol=tol)
-    corr1 = 0.5 * model.inner(X + model.fhat @ X, Y)
-    corr2 = 0.5 * model.inner(X - model.fhat @ X, Y)
-    return np.asarray(dY, dtype=float) + corr1 * model.xi1(x) - corr2 * model.xi2(x)
+    return np.asarray(dY, dtype=float) + model.connection_correction(x, X, Y)
 
 
 def ambient_curvature(model, x, X, Y, Z, tol=1e-10):
@@ -323,16 +318,11 @@ def _dot_row(row, vec):
 
 def hypersurface_samples(h, points):
     """Ground-truth immersion samples straight from the parametrization."""
-    from .reconstruct import ImmersionSample
+    from .reconstruct import Samples
 
-    out = []
-    for start, chunk in geo.grid_chunks(points):
-        vals = h._psi_evaluator(chunk)
-        out += [ImmersionSample(point=tuple(point), psi=x, normal=nu, dpsi=dx,
-                                residuals={})
-                for point, x, dx, nu in zip(points[start:start + len(chunk)],
-                                            vals["x"], vals["dx"], vals["nu"])]
-    return out
+    vals = geo.chunk_arrays(lambda _, chunk: h._psi_evaluator(chunk), points)
+    return Samples(points=np.asarray(points, dtype=float), psi=vals["x"],
+                   normal=vals["nu"], dpsi=vals["dx"])
 
 
 # ---------------------------------------------------------------------------
@@ -347,38 +337,34 @@ class Congruence:
     block_residual: float        # off-diagonal block mass
     orthogonality_residual: float
     preserves_sheet: bool
+    residuals: np.ndarray        # |Phi psi1(p) - psi2(p)| at each point
+    tolerance: float             # bound on sup_residual
 
     @property
     def congruent(self):
-        return (self.sup_residual < 1e-6 and self.block_residual < 1e-8
+        return (self.sup_residual < self.tolerance
+                and self.block_residual < 1e-8
                 and self.orthogonality_residual < 1e-8 and self.preserves_sheet)
 
 
-def solve_congruence(samples1, samples2, k, base_index=0):
+def solve_congruence(samples1, samples2, k, tol=1e-6):
     """Block isometry Phi in O(k+1) x O(n-k+1, 1) mapping samples1 to samples2.
 
     Built from the adapted frames (pushforward columns, normal, factor
-    position vectors) at the base sample, then verified on all samples.
+    position vectors) at the first sample, then verified on all samples
+    against ``tol``.
     """
-    if len(samples1) != len(samples2) or not samples1:
-        raise AmbientError("sample lists must be matched and nonempty")
-    s1 = samples1[base_index]
-    s2 = samples2[base_index]
-    d = len(s1.psi)
-    n = d - 3
+    if len(samples1) != len(samples2) or not len(samples1):
+        raise AmbientError("sample records must be matched and nonempty")
+    model = AmbientModel(samples1.dpsi.shape[-1], k)
 
     def frame(s):
-        M = np.zeros((d, d))
-        M[:, :n] = s.dpsi
-        M[:, n] = s.normal
-        M[:k + 1, n + 1] = s.psi[:k + 1]       # sphere-factor position
-        M[k + 1:, n + 2] = s.psi[k + 1:]       # hyperbolic-factor position
-        return M
+        x = s.psi[0]
+        return np.column_stack([s.dpsi[0], s.normal[0], model.xi1(x),
+                                model.xi2(x)])
 
-    M1 = frame(s1)
-    M2 = frame(s2)
     try:
-        phi = M2 @ np.linalg.inv(M1)
+        phi = frame(samples2) @ np.linalg.inv(frame(samples1))
     except np.linalg.LinAlgError:
         raise AmbientError("degenerate frame at the base sample") from None
 
@@ -386,20 +372,16 @@ def solve_congruence(samples1, samples2, k, base_index=0):
     B = phi[k + 1:, k + 1:]
     block_res = max(float(np.abs(phi[:k + 1, k + 1:]).max()),
                     float(np.abs(phi[k + 1:, :k + 1]).max()))
-    J = geo.minkowski_metric(d - k - 1)
+    J = geo.minkowski_metric(model.dim - k - 1)
     orth_res = max(float(np.abs(A.T @ A - np.eye(k + 1)).max()),
                    float(np.abs(B.T @ J @ B - J).max()))
-    sup = 0.0
-    sheet_ok = True
-    for a, b in zip(samples1, samples2):
-        img = phi @ a.psi
-        sup = max(sup, float(np.abs(img - b.psi).max()))
-        if img[-1] <= 0.0:
-            sheet_ok = False
-    return Congruence(matrix=phi, k=k, sup_residual=sup,
+    img = geo.matvec(phi, samples1.psi)
+    residuals = np.abs(img - samples2.psi).max(-1)
+    return Congruence(matrix=phi, k=k, sup_residual=float(residuals.max()),
                       block_residual=block_res,
                       orthogonality_residual=orth_res,
-                      preserves_sheet=sheet_ok)
+                      preserves_sheet=not (img[:, -1] <= 0.0).any(),
+                      residuals=residuals, tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

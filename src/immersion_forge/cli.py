@@ -211,12 +211,11 @@ def _jsonl(records, summary):
 def _csv_table(records):
     if not records:
         return ""
-    keys = list(records[0])
+    keys = list(dict.fromkeys(key for rec in records for key in rec))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    for rec in records:
-        writer.writerow([rec.get(k, "") for k in keys])
+    writer = csv.DictWriter(buf, keys, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
     return buf.getvalue()
 
 
@@ -235,17 +234,15 @@ def emit(config, records, summary):
         print(json.dumps({"summary": True, **summary}))
 
 
-def _flatten_sample(chart, s):
-    rec = {}
-    for name, val in zip(chart.coords, s.point):
-        rec[f"point_{name}"] = float(val)
-    for a, val in enumerate(s.psi, start=1):
-        rec[f"psi_{a}"] = float(val)
-    for a, val in enumerate(s.normal, start=1):
-        rec[f"N_{a}"] = float(val)
-    for key, val in s.residuals.items():
-        rec[f"res_{key}"] = float(val)
-    return rec
+def _sample_records(chart, samples):
+    """One flat record per sample: point, psi, N, then residuals."""
+    keys = ([f"point_{name}" for name in chart.coords]
+            + [f"{name}_{a}" for name in ("psi", "N")
+               for a in range(1, samples.psi.shape[-1] + 1)]
+            + [f"res_{key}" for key in samples.residuals])
+    table = np.column_stack([samples.points, samples.psi, samples.normal,
+                             *samples.residuals.values()])
+    return (dict(zip(keys, row)) for row in table.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +256,12 @@ def cmd_check(config):
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     report = st.admit(spec, grid=grid, tol=tol)
 
-    def records():
-        for point, per in zip(grid, report.per_point):
-            rec = {f"point_{n}": float(v)
-                   for n, v in zip(spec.chart.coords, point)}
-            if per is None:
-                rec["res_skipped"] = 1.0
-            else:
-                for key, val in per.items():
-                    rec[f"res_{key}"] = float(val)
-            yield rec
-
-    emit(config, records(), report.to_dict())
+    records = ({**{f"point_{n}": float(v)
+                   for n, v in zip(spec.chart.coords, point)},
+                **{f"res_{key}": float(val)
+                   for key, val in (per or {"skipped": 1.0}).items()}}
+               for point, per in zip(grid, report.per_point))
+    emit(config, records, report.to_dict())
     return 0 if report.admissible else 1
 
 
@@ -286,7 +277,7 @@ def cmd_reconstruct(config):
         return 1
     report = rc.validate_theorem(
         spec, grid, base=config.base, step=config.step, admission=admission)
-    emit(config, (_flatten_sample(spec.chart, s) for s in report.samples),
+    emit(config, _sample_records(spec.chart, report.samples),
          report.to_dict())
     return 0 if report.valid else 1
 
@@ -298,10 +289,8 @@ def cmd_extract(config):
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     report = st.admit(spec, grid=grid, tol=tol)
     samples = am.hypersurface_samples(h, grid)
-    for s in samples:
-        s.residuals["on_model"] = h.model.on_model_residual(s.psi)
-    records = [_flatten_sample(spec.chart, s) for s in samples]
-    emit(config, records, report.to_dict())
+    samples.residuals["on_model"] = h.model.on_model_residual(samples.psi)
+    emit(config, _sample_records(spec.chart, samples), report.to_dict())
     return 0 if report.admissible else 1
 
 
@@ -316,13 +305,9 @@ def cmd_roundtrip(config):
     _, rebuilt = rc.immerse(spec, grid, base=config.base, step=config.step,
                             k=admission.k)
     reference = am.hypersurface_samples(h, grid)
-    cong = am.solve_congruence(rebuilt, reference, admission.k)
     tol = config.tol if config.tol is not None else 1e-6
-    records = []
-    for a, b in zip(rebuilt, reference):
-        a.residuals["congruence"] = float(
-            np.abs(cong.matrix @ a.psi - b.psi).max())
-        records.append(_flatten_sample(spec.chart, a))
+    cong = am.solve_congruence(rebuilt, reference, admission.k, tol=tol)
+    rebuilt.residuals["congruence"] = cong.residuals
     summary = {
         "k": admission.k,
         "congruence_sup": cong.sup_residual,
@@ -330,12 +315,10 @@ def cmd_roundtrip(config):
         "orthogonality_residual": cong.orthogonality_residual,
         "preserves_sheet": cong.preserves_sheet,
         "tolerance": tol,
+        "congruent": cong.congruent,
     }
-    ok = (cong.sup_residual < tol and cong.block_residual < 1e-8
-          and cong.orthogonality_residual < 1e-8 and cong.preserves_sheet)
-    summary["congruent"] = ok
-    emit(config, records, summary)
-    return 0 if ok else 1
+    emit(config, _sample_records(spec.chart, rebuilt), summary)
+    return 0 if cong.congruent else 1
 
 
 def cmd_audit(config):

@@ -132,13 +132,22 @@ def grid_chunks(points):
         yield start, np.asarray(points[start:start + GRID_CHUNK], dtype=float)
 
 
+def chunk_arrays(fn, points):
+    """The dicts of arrays ``fn(start, chunk)`` gives, joined over chunks."""
+    parts = [fn(start, chunk) for start, chunk in grid_chunks(points)]
+    return {key: np.concatenate([part[key] for part in parts])
+            for key in parts[0]}
+
+
 def point_of(batch, j):
-    """Point j of a dataclass of arrays with a leading point axis (nested
-    dataclasses included); its ``point`` field holds the point tuples."""
+    """Point j, or the points at slice j, of a dataclass of arrays with a
+    leading point axis (nested dataclasses and dicts of arrays included)."""
     values = {}
     for f in dataclasses.fields(batch):
         v = getattr(batch, f.name)
-        values[f.name] = point_of(v, j) if dataclasses.is_dataclass(v) else v[j]
+        values[f.name] = (point_of(v, j) if dataclasses.is_dataclass(v) else
+                          {key: a[j] for key, a in v.items()}
+                          if isinstance(v, dict) else v[j])
     return dataclasses.replace(batch, **values)
 
 
@@ -257,6 +266,11 @@ def dot(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def matvec(A, v):
+    """A v over the last axes, with leading axes; as A @ v for one point."""
+    return (A @ v[..., None])[..., 0]
+
+
 def minkowski_metric(dim):
     """diag(1, ..., 1, -1): signature (dim-1, 1), timelike axis last."""
     J = np.eye(dim)
@@ -267,4 +281,4 @@ def minkowski_metric(dim):
 def minkowski_inner(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return float(np.dot(x[:-1], y[:-1]) - x[-1] * y[-1])
+    return dot(x[..., :-1], y[..., :-1]) - x[..., -1] * y[..., -1]

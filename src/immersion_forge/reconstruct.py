@@ -12,9 +12,10 @@ with eps = (1, ..., 1, -1); its differential is psi_* v = eps * G(v, eta)
 and the image unit normal is N = eps * G(xi, eta).  Frame components are
 obtained by parallel transport along staircase paths from the base point;
 each corner of those paths is transported once, from the corner before it.
+A ``Samples`` record holds psi, psi_* and N at many points as arrays with a
+leading point axis; theorem validation adds its residuals to it as arrays.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +31,19 @@ class ReconstructionError(Exception):
 
 
 @dataclass
-class ImmersionSample:
-    point: tuple
-    psi: np.ndarray       # position in L^(n+3)
-    normal: np.ndarray    # unit normal, tangent to the model
-    dpsi: np.ndarray      # (n+3) x n pushforward of the coordinate basis
-    residuals: dict = field(default_factory=dict)
+class Samples:
+    """The immersion at P points, as arrays along a leading point axis."""
+
+    points: np.ndarray    # (P, n) chart points
+    psi: np.ndarray       # (P, n+3) position in L^(n+3)
+    normal: np.ndarray    # (P, n+3) unit normal, tangent to the model
+    dpsi: np.ndarray      # (P, n+3, n) pushforward of the coordinate basis
+    residuals: dict = field(default_factory=dict)   # name -> (P,) values
+
+    def __len__(self):
+        return len(self.points)
+
+    __getitem__ = geo.point_of
 
 
 def _gram_schmidt(vectors, G):
@@ -147,25 +155,26 @@ class Immersion:
             raise ReconstructionError("base frame is not adapted to F")
 
     def _assemble(self, points, frames):
-        """Read off psi, dpsi and N at ``points`` from their frame
-        components, evaluating g once per ``geometry.GRID_CHUNK`` points."""
+        """Samples at ``points`` read off their frame components, evaluating
+        g once per ``geometry.GRID_CHUNK`` points."""
         n = self.spec.n
         N = n + 3
-        eps = np.ones(N)
-        eps[-1] = -1.0
+        eps = np.diag(geo.minkowski_metric(N))
         rows = np.array([n + 1] * (self.k + 1) + [n + 2] * (n - self.k + 2))
-        out = []
-        for start, chunk in geo.grid_chunks(points):
+
+        def read_off(start, chunk):
             g = self.spec.connection_data_batch(chunk)[0]
             # P[j, b, a] = G(e_b, eta_a) at the j-th point of the chunk
             P = bd.assemble_gram(g) @ np.asarray(
                 frames[start:start + len(chunk)])
-            out += [ImmersionSample(point=tuple(map(float, point)),
-                                    psi=eps * Pj[rows, np.arange(N)],
-                                    normal=eps * Pj[n, :],
-                                    dpsi=(eps[None, :] * Pj[:n, :]).T)
-                    for point, Pj in zip(chunk, P)]
-        return out
+            return {"psi": eps * P[:, rows, np.arange(N)],
+                    "normal": eps * P[:, n], "dpsi": eps * P[:, :n]}
+
+        vals = geo.chunk_arrays(read_off, points)
+        # dpsi[j] stays the transpose of a row-major block: the last bit of
+        # a matrix product depends on the memory layout of its operands
+        return Samples(np.asarray(points, dtype=float), vals["psi"],
+                       vals["normal"], np.swapaxes(vals["dpsi"], 1, 2))
 
     def sample(self, point):
         return self.samples([point])[0]
@@ -206,13 +215,12 @@ class TheoremReport:
     k: int
     residuals: dict
     tolerances: dict
-    samples: list
+    samples: Samples
     admission: st.CompatibilityReport
 
     @property
     def valid(self):
-        return all(self.residuals[key] < self.tolerances[key]
-                   for key in self.residuals)
+        return not self.failing()
 
     def failing(self):
         return [key for key in self.residuals
@@ -256,70 +264,60 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
             "structure fails admission: " + "; ".join(admission.reasons))
     imm = Immersion(spec, k=admission.k, base=base, step=step)
     model = AmbientModel(spec.n, imm.k)
-    J = model.minkowski
-    res = {key: 0.0 for key in DEFAULT_VALIDATION_TOLERANCES}
     samples = imm.samples(points)
-    for s, (ev, shape) in zip(samples, _shape_fd_residuals(
-            imm, model, samples, spec.eval_points(points))):
-        x = s.psi
-        quad = model.on_model_residual(x)
-        if x[-1] <= 0.0:
-            quad = max(quad, 1.0)       # wrong hyperboloid sheet
-        s.residuals["quadric"] = quad
 
-        s.residuals["isometry"] = float(
-            np.abs(s.dpsi.T @ J @ s.dpsi - ev.g).max())
+    def checks(start, chunk):
+        s, ev = samples[start:start + len(chunk)], spec.eval_batch(chunk)
+        psi, N, dpsi = s.psi, s.normal, s.dpsi
+        dpsiT_J = np.swapaxes(dpsi, -1, -2) @ model.minkowski
+        return {
+            # the wrong hyperboloid sheet fails the quadric
+            "quadric": np.maximum(model.on_model_residual(psi),
+                                  np.where(psi[:, -1] <= 0.0, 1.0, 0.0)),
+            "isometry": np.abs(dpsiT_J @ dpsi - ev.g).max((-2, -1)),
+            "normal": np.maximum.reduce([
+                np.abs(model.inner(N, N) - 1.0),
+                np.abs(geo.matvec(dpsiT_J, N)).max(-1),
+                model.tangency_residual(psi, N)]),
+            "product_relations": np.maximum(
+                np.abs(model.fhat @ dpsi - dpsi @ ev.f
+                       - N[:, :, None] * ev.u[:, None, :]).max((-2, -1)),
+                np.abs(geo.matvec(model.fhat, N) - geo.matvec(dpsi, ev.U)
+                       - ev.lam[:, None] * N).max(-1)),
+            "shape_operator": _shape_fd_residuals(imm, model, s, ev.S),
+        }
 
-        s.residuals["normal"] = max(
-            abs(model.inner(s.normal, s.normal) - 1.0),
-            float(np.abs(s.dpsi.T @ J @ s.normal).max()),
-            model.tangency_residual(x, s.normal))
-
-        Fhat = model.fhat
-        prod = float(np.abs(Fhat @ s.dpsi
-                            - s.dpsi @ ev.f - np.outer(s.normal, ev.u)).max())
-        prod = max(prod, float(np.abs(
-            Fhat @ s.normal - s.dpsi @ ev.U - ev.lam * s.normal).max()))
-        s.residuals["product_relations"] = prod
-
-        s.residuals["shape_operator"] = shape
-        for key in res:
-            res[key] = max(res[key], s.residuals[key])
-
-    tols = dict(DEFAULT_VALIDATION_TOLERANCES)
-    return TheoremReport(k=imm.k, residuals=res, tolerances=tols,
+    samples.residuals.update(geo.chunk_arrays(checks, points))
+    res = {key: float(samples.residuals[key].max(initial=0.0))
+           for key in DEFAULT_VALIDATION_TOLERANCES}
+    return TheoremReport(k=imm.k, residuals=res,
+                         tolerances=dict(DEFAULT_VALIDATION_TOLERANCES),
                          samples=samples, admission=admission)
 
 
-def _shape_fd_residuals(imm, model, samples, evs, h=1e-4):
-    """(ev, |nabla_v N + psi_*(S v)|) for each sample and its StructureEval
-    from ``evs``, with the normal differentiated numerically at point
-    +- h e_i, transported there from the sample's frame.  The segments of
-    each ``geometry.GRID_CHUNK`` samples share their field batches and one
-    read-off of the normals."""
-    eye = np.eye(imm.spec.n)
-    for start in range(0, len(samples), geo.GRID_CHUNK):
-        part = samples[start:start + geo.GRID_CHUNK]
-        axes = [[(i, hp) for i, (lo, hi) in enumerate(imm.spec.chart.box)
-                 if (hp := min(h, 0.25 * (hi - s.point[i]),
-                               0.25 * (s.point[i] - lo))) > 0.0]
-                for s in part]
-        segments = [(s.point, np.add(s.point, sign * hp * eye[i]))
-                    for s, mine in zip(part, axes) for i, hp in mine
-                    for sign in (1.0, -1.0)]
-        frames = [imm.conn.transport_segment(p0, p1, imm.frames[p0],
-                                             step=imm.step, blocks=blocks)
-                  for (p0, p1), blocks in zip(
-                      segments, imm.conn.block_steps(segments, imm.step))]
-        normals = iter([t.normal for t in imm._assemble(
-            [p1 for _, p1 in segments], frames)])
-        for s, ev, mine in zip(part, itertools.islice(evs, len(part)), axes):
-            worst = 0.0
-            for i, hp in mine:
-                dN = (next(normals) - next(normals)) / (2.0 * hp)
-                X, FX = s.dpsi[:, i], model.fhat @ s.dpsi[:, i]
-                corr = (0.5 * model.inner(X + FX, s.normal) * model.xi1(s.psi)
-                        - 0.5 * model.inner(X - FX, s.normal) * model.xi2(s.psi))
-                defect = dN + corr + s.dpsi @ ev.S[:, i]
-                worst = max(worst, float(np.abs(defect).max()))
-            yield ev, worst
+def _shape_fd_residuals(imm, model, s, S, h=1e-4):
+    """sup_i |nabla_i N + psi_*(S e_i)| at the samples ``s``, the normal
+    differentiated numerically at point +- h e_i, transported there from the
+    sample's frame; the segments share field batches and one read-off."""
+    n = imm.spec.n
+    lo, hi = np.array(imm.spec.chart.box).T
+    hp = np.minimum(h, 0.25 * np.minimum(hi - s.points, s.points - lo))
+    j, i = np.nonzero(hp > 0.0)         # (sample, direction) pairs
+    if not len(j):                      # every sample at a box corner
+        return np.zeros(len(s))
+    offset = np.eye(n)[i] * hp[j, i, None]
+    ends = np.concatenate([s.points[j] + offset, s.points[j] - offset])
+    segments = list(zip([tuple(p) for p in s.points[j]] * 2, ends))
+    frames = [imm.conn.transport_segment(p0, p1, imm.frames[p0],
+                                         step=imm.step, blocks=blocks)
+              for (p0, p1), blocks in zip(
+                  segments, imm.conn.block_steps(segments, imm.step))]
+    plus, minus = np.split(imm._assemble(ends, frames).normal, 2)
+    # psi_*(S e_d) in every direction d, S's columns kept as views
+    turn = np.array([geo.matvec(s.dpsi, S[:, :, d]) for d in range(n)])
+    defect = ((plus - minus) / (2.0 * hp[j, i, None])
+              + model.connection_correction(s.psi[j], s.dpsi[j, :, i],
+                                            s.normal[j]) + turn[i, j])
+    worst = np.zeros(hp.shape)
+    worst[j, i] = np.abs(defect).max(-1)
+    return worst.max(-1)

@@ -60,7 +60,7 @@ class StructureEval:
     @property
     def u(self):
         """Lowered U: u_i = g(U, d_i)."""
-        return (self.calc.g @ self.U[..., None])[..., 0]
+        return geo.matvec(self.calc.g, self.U)
 
 
 class StructureSpec:
@@ -128,13 +128,6 @@ class StructureSpec:
     def eval_at(self, point):
         return geo.point_of(self.eval_batch([point]), 0)
 
-    def eval_points(self, points):
-        """StructureEval of each of ``points`` in turn, evaluated in batches
-        of ``geometry.GRID_CHUNK``."""
-        for _, chunk in geo.grid_chunks(points):
-            batch = self.eval_batch(chunk)
-            yield from (geo.point_of(batch, j) for j in range(len(chunk)))
-
     @cached_property
     def _connection_evaluator(self):
         """Compiled fields entering the bundle connection."""
@@ -198,7 +191,7 @@ def check_algebraic(spec, point, ev=None):
         "f_symmetric": _column_defect(fT @ g - g @ f, ginv),
         "S_symmetric": _column_defect(ST @ g - g @ S, ginv),
         "f_squared": _column_defect(ff_defect, g),
-        "fU": _gnorm((f @ U[..., None])[..., 0] + lam[..., None] * U, g),
+        "fU": _gnorm(geo.matvec(f, U) + lam[..., None] * U, g),
         "unit": np.abs(geo.dot(u, U) + lam * lam - 1.0),
     }
 

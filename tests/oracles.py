@@ -1,17 +1,21 @@
-"""Per-point reference versions of the admission checks and of the
-reconstruction's sample read-off, and per-point residuals of the bundle
-connection.
+"""Per-point reference versions of the admission checks, of the
+reconstruction's sample read-off, of the theorem checks and of the
+congruence solver, and per-point residuals of the bundle connection.
 
 The admission checks are the triple loops the batched checks in
 ``structure`` replaced: one point at a time, one basis vector, pair or
-triple per iteration.  The tests compare the batched code against them.
+triple per iteration.  The theorem checks and the congruence solver are the
+per-sample loops the array expressions over a ``reconstruct.Samples``
+record replaced, with the model's inner product and factor positions
+written out for one point.  The tests compare the batched code against
+them.
 """
 
 import numpy as np
 
 from immersion_forge import bundle as bd
 from immersion_forge import structure as st
-from immersion_forge.ambient import NotOnModelError
+from immersion_forge.ambient import AmbientModel, NotOnModelError
 from immersion_forge.geometry import SingularMetricError
 
 
@@ -282,3 +286,111 @@ def sample_from_frame(spec, point, M, k):
     rows = np.array([n + 1] * (k + 1) + [n + 2] * (n - k + 2))
     return (eps * P[rows, np.arange(N)], eps * P[n, :],
             (eps[None, :] * P[:n, :]).T)
+
+
+# ---------------------------------------------------------------------------
+# theorem checks and congruence, one sample at a time
+
+
+def minkowski_inner(x, y):
+    return float(np.dot(x[:-1], y[:-1]) - x[-1] * y[-1])
+
+
+def factor_positions(model, x):
+    """(xi1, xi2): x on the sphere slots and on the hyperbolic slots."""
+    xi1 = np.zeros(model.dim)
+    xi1[:model.k + 1] = x[:model.k + 1]
+    xi2 = np.zeros(model.dim)
+    xi2[model.k + 1:] = x[model.k + 1:]
+    return xi1, xi2
+
+
+def shape_fd_residual(imm, model, s, ev, h=1e-4):
+    """|nabla_v N + psi_*(S v)| at one sample, sup over the coordinate
+    directions, each +-h segment transported and read off on its own."""
+    point = tuple(s.points)
+    eye = np.eye(imm.spec.n)
+    xi1, xi2 = factor_positions(model, s.psi)
+    worst = 0.0
+    for i, (lo, hi) in enumerate(imm.spec.chart.box):
+        hp = min(h, 0.25 * (hi - point[i]), 0.25 * (point[i] - lo))
+        if hp <= 0.0:
+            continue
+        normals = []
+        for sign in (1.0, -1.0):
+            p1 = np.add(point, sign * hp * eye[i])
+            M = imm.conn.transport_segment(point, p1, imm.frames[point],
+                                           step=imm.step)
+            normals.append(sample_from_frame(imm.spec, p1, M, imm.k)[1])
+        dN = (normals[0] - normals[1]) / (2.0 * hp)
+        X, FX = s.dpsi[:, i], model.fhat @ s.dpsi[:, i]
+        corr = (0.5 * minkowski_inner(X + FX, s.normal) * xi1
+                - 0.5 * minkowski_inner(X - FX, s.normal) * xi2)
+        defect = dN + corr + s.dpsi @ ev.S[:, i]
+        worst = max(worst, float(np.abs(defect).max()))
+    return worst
+
+
+def theorem_residuals(imm, samples):
+    """The per-sample checks of ``validate_theorem`` on the samples of
+    ``imm``: name -> array of values, in the record's order."""
+    spec = imm.spec
+    model = AmbientModel(spec.n, imm.k)
+    J = model.minkowski
+    Fhat = model.fhat
+    out = {key: [] for key in ("quadric", "isometry", "normal",
+                               "product_relations", "shape_operator")}
+    for j in range(len(samples)):
+        s = samples[j]
+        ev = spec.eval_at(tuple(s.points))
+        x = s.psi
+        quad = model.on_model_residual(x)
+        if x[-1] <= 0.0:
+            quad = max(quad, 1.0)       # wrong hyperboloid sheet
+        out["quadric"].append(quad)
+        out["isometry"].append(float(
+            np.abs(s.dpsi.T @ J @ s.dpsi - ev.g).max()))
+        xi1, xi2 = factor_positions(model, x)
+        out["normal"].append(max(
+            abs(minkowski_inner(s.normal, s.normal) - 1.0),
+            float(np.abs(s.dpsi.T @ J @ s.normal).max()),
+            max(abs(minkowski_inner(s.normal, xi1)),
+                abs(minkowski_inner(s.normal, xi2)))))
+        prod = float(np.abs(Fhat @ s.dpsi
+                            - s.dpsi @ ev.f - np.outer(s.normal, ev.u)).max())
+        prod = max(prod, float(np.abs(
+            Fhat @ s.normal - s.dpsi @ ev.U - ev.lam * s.normal).max()))
+        out["product_relations"].append(prod)
+        out["shape_operator"].append(shape_fd_residual(imm, model, s, ev))
+    return {key: np.array(vals) for key, vals in out.items()}
+
+
+def congruence(samples1, samples2, k):
+    """The per-sample congruence solver: Phi from the frames at the first
+    sample, then |Phi psi1 - psi2| at each sample, its sup and whether Phi
+    keeps every image on the upper sheet."""
+    s1 = samples1[0]
+    s2 = samples2[0]
+    d = len(s1.psi)
+    n = d - 3
+
+    def frame(s):
+        M = np.zeros((d, d))
+        M[:, :n] = s.dpsi
+        M[:, n] = s.normal
+        M[:k + 1, n + 1] = s.psi[:k + 1]
+        M[k + 1:, n + 2] = s.psi[k + 1:]
+        return M
+
+    phi = frame(s2) @ np.linalg.inv(frame(s1))
+    residuals = []
+    sup = 0.0
+    sheet_ok = True
+    for j in range(len(samples1)):
+        img = phi @ samples1.psi[j]
+        residuals.append(float(np.abs(img - samples2.psi[j]).max()))
+        sup = max(sup, residuals[-1])
+        if img[-1] <= 0.0:
+            sheet_ok = False
+    return {"matrix": phi, "residuals": np.array(residuals), "sup": sup,
+            "preserves_sheet": sheet_ok}

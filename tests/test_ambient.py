@@ -149,8 +149,9 @@ def test_lower_sheet_rejected():
 def test_normal_is_unit_tangent_and_orthogonal(catalog_structures):
     for name, (h, _) in catalog_structures.items():
         model = h.model
-        for s in am.hypersurface_samples(h, h.chart.grid(2)):
-            x, dx, nu = s.psi, s.dpsi, s.normal
+        samples = am.hypersurface_samples(h, h.chart.grid(2))
+        for j in range(len(samples)):
+            x, dx, nu = samples.psi[j], samples.dpsi[j], samples.normal[j]
             assert model.inner(nu, nu) == pytest.approx(1.0, abs=1e-12)
             assert model.tangency_residual(x, nu) < 1e-12
             assert np.abs(dx.T @ model.minkowski @ nu).max() < 1e-12
@@ -193,8 +194,10 @@ def test_extraction_against_numeric_normal(catalog_structures):
     h, spec = catalog_structures["diagonal_cylinder"]
     model = h.model
     J = model.minkowski
-    for s in am.hypersurface_samples(h, h.chart.grid(2)):
-        point, x, dx, nu = s.point, s.psi, s.dpsi, s.normal
+    samples = am.hypersurface_samples(h, h.chart.grid(2))
+    for j in range(len(samples)):
+        point, x, dx, nu = (samples.points[j], samples.psi[j],
+                            samples.dpsi[j], samples.normal[j])
         # rows: Minkowski pairings that the normal must annihilate
         rows = np.vstack([dx.T @ J, model.xi1(x) @ J, model.xi2(x) @ J])
         _, _, vt = np.linalg.svd(rows)
@@ -213,9 +216,10 @@ def test_extraction_against_numeric_normal(catalog_structures):
 def test_extracted_metric_matches_pullback(catalog_structures):
     h, spec = catalog_structures["perturbed_geodesic"]
     J = h.model.minkowski
-    for s in am.hypersurface_samples(h, h.chart.grid(4)):
-        dx = s.dpsi
-        ev = spec.eval_at(s.point)
+    samples = am.hypersurface_samples(h, h.chart.grid(4))
+    for j in range(len(samples)):
+        dx = samples.dpsi[j]
+        ev = spec.eval_at(samples.points[j])
         assert np.abs(dx.T @ J @ dx - ev.g).max() < 1e-12
 
 
@@ -246,11 +250,10 @@ def test_solve_congruence_recovers_block_isometry(catalog_structures, rng):
     points = h.chart.grid(3)
     samples = am.hypersurface_samples(h, points)
     phi0 = _block_isometry(h.k, h.n + 3, rng)
-    moved = []
-    for s in samples:
-        moved.append(type(s)(point=s.point, psi=phi0 @ s.psi,
-                             normal=phi0 @ s.normal, dpsi=phi0 @ s.dpsi,
-                             residuals={}))
+    moved = type(samples)(points=samples.points,
+                          psi=(phi0 @ samples.psi[..., None])[..., 0],
+                          normal=(phi0 @ samples.normal[..., None])[..., 0],
+                          dpsi=phi0 @ samples.dpsi)
     cong = am.solve_congruence(samples, moved, h.k)
     assert cong.congruent
     assert np.abs(cong.matrix - phi0).max() < 1e-10

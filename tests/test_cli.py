@@ -337,6 +337,61 @@ def test_csv_format_column_order(capsys, tmp_path):
     header = out_path.read_text(encoding="utf-8").splitlines()[0].split(",")
     groups = [name.split("_")[0] for name in header]
     assert groups == (["point"] + ["psi"] * 4 + ["N"] * 4 + ["res"] * 5)
+    # the residual columns by name, in order, for every sample report
+    sample_columns = (
+        ["point_u1", "point_u2"] + [f"psi_{a}" for a in range(1, 6)]
+        + [f"N_{a}" for a in range(1, 6)])
+    for command, residuals in (
+            ("reconstruct", ["quadric", "isometry", "normal",
+                             "product_relations", "shape_operator"]),
+            ("extract", ["on_model"]),
+            ("roundtrip", ["congruence"])):
+        code, out, _ = run(capsys, command, "catalog:diagonal_cylinder",
+                           "--grid", "2", "--format", "csv",
+                           "--out", str(out_path))
+        assert code == 0, command
+        header = out_path.read_text(encoding="utf-8").splitlines()[0]
+        assert header.split(",") == sample_columns + [
+            f"res_{key}" for key in residuals], command
+
+
+@pytest.mark.parametrize("g,skipped_first", [("u1", True), ("-u1", False)])
+def test_csv_check_header_covers_skipped_and_usable_points(
+        capsys, tmp_path, g, skipped_first):
+    # g = +-u1 is singular on one half of [-1, 1]: the CSV table keeps the
+    # residual columns of the usable points and the skipped column
+    doc = {"kind": "structure", "n": 1, "coords": ["u1"],
+           "domain": [[-1.0, 1.0]],
+           "base_point": [0.5 if skipped_first else -0.5],
+           "fields": {"g": [[g]], "S": [["0"]], "f": [["1"]], "U": ["0"],
+                      "lambda": "-1"}}
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, "check", path, "--grid", "4",
+                       "--format", "csv")
+    assert code == 1
+    table = out.splitlines()[:5]
+    residuals = [f"res_{key}" for key in st.RESIDUAL_KEYS[:-1]]
+    header = (["point_u1"] + ["res_skipped"] + residuals if skipped_first
+              else ["point_u1"] + residuals + ["res_skipped"])
+    assert table[0].split(",") == header
+    skipped = [row for row in table[1:]
+               if row.split(",")[header.index("res_skipped")] == "1.0"]
+    usable = [row.split(",") for row in table[1:] if row not in skipped]
+    assert len(skipped) == len(usable) == 2
+    assert all(row[header.index(key)] == "0.0"
+               for row in usable for key in residuals)
+
+
+def test_roundtrip_tolerance_sets_the_congruence_verdict(capsys):
+    code, out, _ = run(capsys, "roundtrip", "catalog:geodesic_slice",
+                       "--grid", "2", "--tol", "1e-20")
+    assert code == 1
+    _, summary = parse_jsonl(out)
+    assert summary["congruent"] is False
+    assert summary["tolerance"] == 1e-20
+    assert list(summary) == ["summary", "k", "congruence_sup",
+                             "block_residual", "orthogonality_residual",
+                             "preserves_sheet", "tolerance", "congruent"]
 
 
 def test_runs_are_deterministic(capsys):

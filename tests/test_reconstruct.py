@@ -117,13 +117,13 @@ def test_determinism_across_grid_densities(catalog_structures):
     fine_pts = spec.chart.grid(4)
     imm_a, coarse = rc.immerse(spec, coarse_pts)
     imm_b, fine = rc.immerse(spec, fine_pts)
-    fine_by_point = {s.point: s for s in fine}
+    fine_by_point = {tuple(p): j for j, p in enumerate(fine.points)}
     shared = 0
-    for s in coarse:
-        match = fine_by_point.get(s.point)
+    for j, p in enumerate(coarse.points):
+        match = fine_by_point.get(tuple(p))
         if match is not None:
             shared += 1
-            assert np.abs(s.psi - match.psi).max() < 1e-9
+            assert np.abs(coarse.psi[j] - fine.psi[match]).max() < 1e-9
     assert shared == len(coarse)
 
 
@@ -160,15 +160,16 @@ def test_frame_table_matches_uncached_transport(catalog_structures,
     monkeypatch.setattr(geo, "GRID_CHUNK", 4)   # samples span three chunks
     imm = rc.Immersion(spec, step=1e-2)
     samples = imm.samples(points)
-    for p, s in zip(points, samples):
+    for j, p in enumerate(points):
         reference = imm.conn.transport(bd.staircase_path(imm.base, p),
                                        M=imm.base_frame, step=1e-2)
         assert np.array_equal(imm.frames[p], reference)
         one = imm.sample(p)
         expected = oracles.sample_from_frame(spec, p, reference, imm.k)
         for field, ref in zip(("psi", "normal", "dpsi"), expected):
-            assert np.abs(getattr(one, field) - getattr(s, field)).max() <= 1e-15
-            assert np.abs(getattr(s, field) - ref).max() <= 1e-15
+            assert np.abs(getattr(one, field)
+                          - getattr(samples, field)[j]).max() <= 1e-15
+            assert np.abs(getattr(samples, field)[j] - ref).max() <= 1e-15
 
 
 def test_validation_walks_staircases_to_grid_points_only(catalog_structures,
@@ -241,3 +242,48 @@ def test_shape_check_field_calls_do_not_grow_with_the_grid(catalog_structures,
         counts.append(len(calls) - fill)
     # one stage call and one read-off of the normals, at 4 and at 16 points
     assert counts == [2, 2]
+
+
+ORACLE_GRID = {1: 5, 2: 3, 3: 2}
+
+
+@pytest.mark.parametrize("chunk", [geo.GRID_CHUNK, 3])
+@pytest.mark.parametrize("name", am.catalog_names())
+def test_array_checks_match_per_sample_oracle(name, chunk, catalog_structures,
+                                              monkeypatch):
+    # theorem residuals, congruence sup and sheet flag, bit for bit, with
+    # the samples in one chunk and spread over several
+    h, spec = catalog_structures[name]
+    monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
+    points = spec.chart.grid(ORACLE_GRID[spec.n])
+    report = rc.validate_theorem(spec, points, step=1e-2)
+    imm, rebuilt = rc.immerse(spec, points, step=1e-2, k=report.k)
+    expected = oracles.theorem_residuals(imm, report.samples)
+    assert list(report.samples.residuals) == list(expected)
+    for key, values in expected.items():
+        assert np.array_equal(report.samples.residuals[key], values), key
+    reference = am.hypersurface_samples(h, points)
+    cong = am.solve_congruence(rebuilt, reference, report.k)
+    ref = oracles.congruence(rebuilt, reference, report.k)
+    assert np.array_equal(cong.matrix, ref["matrix"])
+    assert np.array_equal(cong.residuals, ref["residuals"])
+    assert cong.sup_residual == ref["sup"]
+    assert cong.preserves_sheet is ref["preserves_sheet"]
+
+
+def test_validation_at_box_corners_skips_the_shape_check(catalog_structures):
+    # no +-h segment fits at the ends of a 1-dimensional chart
+    _, spec = catalog_structures["diagonal_geodesic"]
+    report = rc.validate_theorem(spec, [(-1.0,), (1.0,)], step=1e-2)
+    assert report.valid, report.to_dict()
+    assert report.residuals["shape_operator"] == 0.0
+
+
+def test_congruence_verdict_reads_its_tolerance(catalog_structures):
+    h, spec = catalog_structures["geodesic_slice"]
+    points = spec.chart.grid(2)
+    _, rebuilt = rc.immerse(spec, points)
+    reference = am.hypersurface_samples(h, points)
+    assert am.solve_congruence(rebuilt, reference, h.k).congruent
+    assert not am.solve_congruence(rebuilt, reference, h.k,
+                                   tol=1e-20).congruent
