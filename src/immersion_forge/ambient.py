@@ -320,9 +320,10 @@ def hypersurface_samples(h, points):
     """Ground-truth immersion samples straight from the parametrization."""
     from .reconstruct import Samples
 
+    points = np.asarray(points, dtype=float).reshape(-1, h.n)
     vals = geo.chunk_arrays(lambda _, chunk: h._psi_evaluator(chunk), points)
-    return Samples(points=np.asarray(points, dtype=float), psi=vals["x"],
-                   normal=vals["nu"], dpsi=vals["dx"])
+    return Samples(points=points, psi=vals["x"], normal=vals["nu"],
+                   dpsi=vals["dx"])
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +442,8 @@ def audit_equations(h, grid=None, tol=1e-8, grid_density=8):
                          "codazzi_plus", "codazzi_minus"), 0.0)
     for _, chunk in geo.grid_chunks(grid):
         ev = spec.eval_batch(chunk)
-        values = (st.check_gauss(spec, chunk, ev),
-                  st.check_gauss(spec, chunk, ev, paired=True),
-                  st.check_codazzi(spec, chunk, ev),
-                  st.check_codazzi(spec, chunk, ev, sign=-1.0))
+        values = (st.check_gauss(ev), st.check_gauss(ev, paired=True),
+                  st.check_codazzi(ev), st.check_codazzi(ev, sign=-1.0))
         for key, val in zip(sup, values):
             sup[key] = max(sup[key], float(val.max()))
     return AuditReport(**sup, tolerance=tol)

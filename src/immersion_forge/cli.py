@@ -203,27 +203,60 @@ def _atomic_write(path, lines):
         raise InputError(f"cannot write report {path}: {err}") from None
 
 
+def _table(chart, points, columns):
+    """(keys, records) of a report table at ``points``, the records made
+    lazily from ``geometry.GRID_CHUNK`` rows of the columns at a time.
+
+    The point coordinates come first, then ``columns``, which holds (name,
+    (P,) values, (P,) mask or None): a record has the columns whose mask is
+    set in its row.  The keys are the columns set in some row, in the order
+    a scan of the records first meets them.
+    """
+    point_columns = [(f"point_{name}", col, None)
+                     for name, col in zip(chart.coords, np.transpose(points))]
+    names, values, masks = zip(*point_columns, *columns)
+    rows = len(points)
+    masks = np.column_stack([np.ones(rows, dtype=bool) if mask is None
+                             else mask for mask in masks])
+    first = np.where(masks.any(0), masks.argmax(0), rows)
+    keys = [names[c] for c in np.argsort(first, kind="stable")
+            if first[c] < rows]
+
+    def records():
+        for start in range(0, rows, geo.GRID_CHUNK):
+            chunk = slice(start, start + geo.GRID_CHUNK)
+            table = np.column_stack([col[chunk] for col in values]).tolist()
+            for row, here in zip(table, masks[chunk].tolist()):
+                yield {name: val
+                       for name, val, set_ in zip(names, row, here) if set_}
+
+    return keys, records()
+
+
 def _jsonl(records, summary):
     for rec in itertools.chain(records, [{"summary": True, **summary}]):
         yield json.dumps(rec) + "\n"
 
 
-def _csv_table(records):
-    if not records:
-        return ""
-    keys = list(dict.fromkeys(key for rec in records for key in rec))
+def _csv_lines(keys, records):
+    """The header line, then the line of each record as it is made; a
+    column a record lacks is left empty."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, keys, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(records)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in itertools.chain(
+            [keys], ([rec.get(key, "") for key in keys] for rec in records)):
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
-def emit(config, records, summary):
-    """Write the report; ``records`` may be lazy, and JSON lines are
-    written one at a time."""
+def emit(config, summary, table=((), ())):
+    """Write the report of ``table``, a (keys, records) pair as ``_table``
+    makes; the records may be lazy, and are written one at a time."""
+    keys, records = table
     if config.format == "csv":
-        lines = [_csv_table(list(records))]
+        lines = _csv_lines(keys, records) if keys else ()
     else:
         lines = _jsonl(records, summary)
     if config.out:
@@ -234,15 +267,14 @@ def emit(config, records, summary):
         print(json.dumps({"summary": True, **summary}))
 
 
-def _sample_records(chart, samples):
-    """One flat record per sample: point, psi, N, then residuals."""
-    keys = ([f"point_{name}" for name in chart.coords]
-            + [f"{name}_{a}" for name in ("psi", "N")
-               for a in range(1, samples.psi.shape[-1] + 1)]
-            + [f"res_{key}" for key in samples.residuals])
-    table = np.column_stack([samples.points, samples.psi, samples.normal,
-                             *samples.residuals.values()])
-    return (dict(zip(keys, row)) for row in table.tolist())
+def _sample_table(chart, samples):
+    """Report table of samples: point, psi, N, then residual columns."""
+    names = ([f"{name}_{a}" for name in ("psi", "N")
+              for a in range(1, samples.psi.shape[-1] + 1)]
+             + [f"res_{key}" for key in samples.residuals])
+    values = [*samples.psi.T, *samples.normal.T, *samples.residuals.values()]
+    return _table(chart, samples.points,
+                  [(name, col, None) for name, col in zip(names, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +288,10 @@ def cmd_check(config):
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     report = st.admit(spec, grid=grid, tol=tol)
 
-    records = ({**{f"point_{n}": float(v)
-                   for n, v in zip(spec.chart.coords, point)},
-                **{f"res_{key}": float(val)
-                   for key, val in (per or {"skipped": 1.0}).items()}}
-               for point, per in zip(grid, report.per_point))
-    emit(config, records, report.to_dict())
+    columns = ([(f"res_{key}", val, report.usable)
+                for key, val in report.values.items()]
+               + [("res_skipped", np.ones(len(grid)), ~report.usable)])
+    emit(config, report.to_dict(), _table(spec.chart, grid, columns))
     return 0 if report.admissible else 1
 
 
@@ -272,13 +302,11 @@ def cmd_reconstruct(config):
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
     admission = st.admit(spec, grid=grid, tol=tol)
     if not admission.admissible:
-        emit(config, [], {"admissible": False,
-                          "reasons": admission.reasons})
+        emit(config, {"admissible": False, "reasons": admission.reasons})
         return 1
     report = rc.validate_theorem(
         spec, grid, base=config.base, step=config.step, admission=admission)
-    emit(config, _sample_records(spec.chart, report.samples),
-         report.to_dict())
+    emit(config, report.to_dict(), _sample_table(spec.chart, report.samples))
     return 0 if report.valid else 1
 
 
@@ -290,7 +318,7 @@ def cmd_extract(config):
     report = st.admit(spec, grid=grid, tol=tol)
     samples = am.hypersurface_samples(h, grid)
     samples.residuals["on_model"] = h.model.on_model_residual(samples.psi)
-    emit(config, _sample_records(spec.chart, samples), report.to_dict())
+    emit(config, report.to_dict(), _sample_table(spec.chart, samples))
     return 0 if report.admissible else 1
 
 
@@ -300,7 +328,7 @@ def cmd_roundtrip(config):
     spec = as_structure(h, grid=grid)
     admission = st.admit(spec, grid=grid)
     if not admission.admissible:
-        emit(config, [], {"admissible": False, "reasons": admission.reasons})
+        emit(config, {"admissible": False, "reasons": admission.reasons})
         return 1
     _, rebuilt = rc.immerse(spec, grid, base=config.base, step=config.step,
                             k=admission.k)
@@ -317,7 +345,7 @@ def cmd_roundtrip(config):
         "tolerance": tol,
         "congruent": cong.congruent,
     }
-    emit(config, _sample_records(spec.chart, rebuilt), summary)
+    emit(config, summary, _sample_table(spec.chart, rebuilt))
     return 0 if cong.congruent else 1
 
 
@@ -327,7 +355,7 @@ def cmd_audit(config):
     h.check_on_model(grid=grid)
     tol = config.tol if config.tol is not None else 1e-8
     report = am.audit_equations(h, grid=grid, tol=tol)
-    emit(config, [], report.to_dict())
+    emit(config, report.to_dict())
     return 0
 
 

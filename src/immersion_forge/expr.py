@@ -58,37 +58,6 @@ class Expr:
     def __repr__(self):
         return f"Expr({to_str(self)})"
 
-    # arithmetic sugar so library code can assemble fields readably
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, other):
-        return powc(self, _coerce(other))
-
 
 def _coerce(x):
     if isinstance(x, Expr):

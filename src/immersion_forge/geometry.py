@@ -25,6 +25,12 @@ class SingularMetricError(GeometryError):
     """Metric not positive definite at a sample point."""
 
 
+# tolerance of Chart.contains at the faces of the box
+CONTAINS_SLACK = 1e-12
+# share of each box side that Chart.grid keeps clear at either end
+GRID_MARGIN = 0.01
+
+
 @dataclass(frozen=True)
 class Chart:
     """A single convex coordinate box with a distinguished base point."""
@@ -55,25 +61,21 @@ class Chart:
     def n(self):
         return len(self.coords)
 
-    def contains(self, point, slack=1e-12):
+    def contains(self, point):
         """True for a point of the chart's dimension inside the box."""
         return len(point) == self.n and all(
-            lo - slack <= p <= hi + slack
+            lo - CONTAINS_SLACK <= p <= hi + CONTAINS_SLACK
             for (lo, hi), p in zip(self.box, point))
 
-    def axis_values(self, density=8, margin=0.01):
-        """Uniform per-axis sample values, shrunk from the box boundary."""
+    def grid(self, density=8):
+        """Uniform grid of ``density`` values per axis over the box shrunk
+        by GRID_MARGIN of each side, row-major order."""
         if density < 2:
             raise GeometryError("grid density must be >= 2")
-        values = []
+        axes = []
         for lo, hi in self.box:
-            pad = margin * (hi - lo)
-            values.append(np.linspace(lo + pad, hi - pad, density))
-        return values
-
-    def grid(self, density=8, margin=0.01):
-        """Uniform grid over the (slightly shrunk) box, row-major order."""
-        axes = self.axis_values(density, margin)
+            pad = GRID_MARGIN * (hi - lo)
+            axes.append(np.linspace(lo + pad, hi - pad, density))
         mesh = np.meshgrid(*axes, indexing="ij")
         return [tuple(float(m[idx]) for m in mesh)
                 for idx in np.ndindex(*mesh[0].shape)]
@@ -133,8 +135,10 @@ def grid_chunks(points):
 
 
 def chunk_arrays(fn, points):
-    """The dicts of arrays ``fn(start, chunk)`` gives, joined over chunks."""
-    parts = [fn(start, chunk) for start, chunk in grid_chunks(points)]
+    """The dicts of arrays ``fn(start, chunk)`` gives, joined over chunks;
+    ``fn(0, points)`` when the (0, n) ``points`` make no chunk."""
+    parts = ([fn(start, chunk) for start, chunk in grid_chunks(points)]
+             or [fn(0, np.asarray(points, dtype=float))])
     return {key: np.concatenate([part[key] for part in parts])
             for key in parts[0]}
 
@@ -156,7 +160,6 @@ class PointCalculus:
     """Numeric metric data (all from exact derivatives) at one point, or at
     a batch of points along a leading axis."""
 
-    point: tuple
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray       # dg[i, j, k] = d_i g_jk
@@ -225,7 +228,8 @@ def _sym(dg):
 def calculus_from_values(point, g, dg, ddg):
     """Assemble Christoffels and curvature from exact g, dg, ddg values.
 
-    The arrays carry a leading point axis and ``point`` holds the points.
+    The arrays carry a leading point axis and ``point`` holds the points,
+    which a singular metric is reported at.
     """
     check_positive_definite(g, point)
     ginv = np.linalg.inv(g)
@@ -235,7 +239,7 @@ def calculus_from_values(point, g, dg, ddg):
     dgamma = 0.5 * (np.einsum("...pml,...ijl->...pmij", dginv, _sym(dg))
                     + np.einsum("...ml,...pijl->...pmij", ginv, _sym(ddg)))
     riem = riemann_from_values(gamma, dgamma)
-    return PointCalculus(point=point, g=g, ginv=ginv, dg=dg,
+    return PointCalculus(g=g, ginv=ginv, dg=dg,
                          gamma=gamma, dgamma=dgamma, riem=riem)
 
 

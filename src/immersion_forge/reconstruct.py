@@ -159,22 +159,23 @@ class Immersion:
         g once per ``geometry.GRID_CHUNK`` points."""
         n = self.spec.n
         N = n + 3
+        points = np.asarray(points, dtype=float).reshape(-1, n)
         eps = np.diag(geo.minkowski_metric(N))
         rows = np.array([n + 1] * (self.k + 1) + [n + 2] * (n - self.k + 2))
 
         def read_off(start, chunk):
             g = self.spec.connection_data_batch(chunk)[0]
             # P[j, b, a] = G(e_b, eta_a) at the j-th point of the chunk
-            P = bd.assemble_gram(g) @ np.asarray(
-                frames[start:start + len(chunk)])
+            P = bd.assemble_gram(g) @ np.reshape(
+                frames[start:start + len(chunk)], (-1, N, N))
             return {"psi": eps * P[:, rows, np.arange(N)],
                     "normal": eps * P[:, n], "dpsi": eps * P[:, :n]}
 
         vals = geo.chunk_arrays(read_off, points)
         # dpsi[j] stays the transpose of a row-major block: the last bit of
         # a matrix product depends on the memory layout of its operands
-        return Samples(np.asarray(points, dtype=float), vals["psi"],
-                       vals["normal"], np.swapaxes(vals["dpsi"], 1, 2))
+        return Samples(points, vals["psi"], vals["normal"],
+                       np.swapaxes(vals["dpsi"], 1, 2))
 
     def sample(self, point):
         return self.samples([point])[0]

@@ -42,7 +42,6 @@ class StructureEval:
     """All structure data, from exact derivatives, at one point or at a
     batch of points along a leading axis (see ``geometry.point_of``)."""
 
-    point: tuple
     calc: geo.PointCalculus
     S: np.ndarray        # S^a_b
     dS: np.ndarray       # dS[p, a, b] = d_p S^a_b
@@ -116,14 +115,13 @@ class StructureSpec:
     def eval_batch(self, points):
         """StructureEval of the points (P, n) along a leading axis; raises
         SingularMetricError naming the first point with a singular metric."""
-        points = [tuple(map(float, p)) for p in points]
         return self._eval_from_values(points, self._full_evaluator(points))
 
     def _eval_from_values(self, points, v):
         """StructureEval from the evaluator's values ``v`` (consumed)."""
         calc = geo.calculus_from_values(points, v.pop("g"), v.pop("dg"),
                                         v.pop("ddg"))
-        return StructureEval(point=points, calc=calc, **v)
+        return StructureEval(calc=calc, **v)
 
     def eval_at(self, point):
         return geo.point_of(self.eval_batch([point]), 0)
@@ -177,14 +175,13 @@ def _pair_sup(norms, points_ndim):
         -1, initial=0.0)
 
 
-def check_algebraic(spec, point, ev=None):
-    """Residuals of the algebraic identities at a point."""
-    ev = ev or spec.eval_at(point)
+def check_algebraic(ev):
+    """Residuals of the algebraic identities."""
     g, f, S, U, u = ev.g, ev.f, ev.S, ev.U, ev.u
     lam = np.asarray(ev.lam)
     ginv = ev.calc.ginv
     fT, ST = np.swapaxes(f, -1, -2), np.swapaxes(S, -1, -2)
-    ff_defect = f @ f - np.eye(spec.n) + U[..., :, None] * u[..., None, :]
+    ff_defect = f @ f - np.eye(U.shape[-1]) + U[..., :, None] * u[..., None, :]
     # f and S symmetric: the defect has a lowered output index, so its
     # columns are measured in the dual metric
     return {
@@ -203,17 +200,16 @@ def _wedges(A, B):
     return T - np.swapaxes(T, -3, -2)
 
 
-def check_gauss(spec, point, ev=None, paired=False):
+def check_gauss(ev, paired=False):
     """Sup over basis triples of the Gauss-equation defect, in g-norm.
 
     The equation is R(X,Y)Z = (SX ^ SY)Z + (f((X^Y)Z) + (X^Y)fZ)/2; with
     ``paired`` the variant with (fX ^ fY)Z in place of f((X^Y)Z).
     """
-    ev = ev or spec.eval_at(point)
     g, S, f = ev.g, ev.S, ev.f
     gf = g @ f
     wSS = _wedges(S, g @ S)
-    wIJf = _wedges(np.eye(spec.n), np.swapaxes(gf, -1, -2))
+    wIJf = _wedges(np.eye(S.shape[-1]), np.swapaxes(gf, -1, -2))
     if paired:
         wf = _wedges(f, gf)
     else:
@@ -224,24 +220,22 @@ def check_gauss(spec, point, ev=None, paired=False):
     return _pair_sup(norms, g.ndim - 2)
 
 
-def check_codazzi(spec, point, ev=None, sign=1.0):
+def check_codazzi(ev, sign=1.0):
     """Sup over basis pairs of the Codazzi-equation defect, in g-norm.
 
     The equation is (nabla_X S)Y - (nabla_Y S)X = sign (u(X)Y - u(Y)X)/2.
     """
-    ev = ev or spec.eval_at(point)
     # lhs[..., i, j, a] = ((nabla_i S) e_j - (nabla_j S) e_i)^a
     lhs = np.swapaxes(geo.covariant_derivatives(ev.S, ev.dS, ev.calc.gamma),
                       -1, -2)
     lhs = lhs - np.swapaxes(lhs, -3, -2)
-    rhs = ev.u[..., :, None, None] * np.eye(spec.n)
+    rhs = ev.u[..., :, None, None] * np.eye(ev.S.shape[-1])
     rhs = 0.5 * (rhs - np.swapaxes(rhs, -3, -2))
     return _pair_sup(_gnorm(lhs - sign * rhs, ev.g), ev.g.ndim - 2)
 
 
-def check_gradients(spec, point, ev=None):
+def check_gradients(ev):
     """Residuals of the covariant-derivative identities for f, U, lambda."""
-    ev = ev or spec.eval_at(point)
     g, S, f, U, u, gamma = ev.g, ev.S, ev.f, ev.U, ev.u, ev.calc.gamma
     lam = np.asarray(ev.lam)
     gS = g @ S
@@ -295,15 +289,14 @@ def eigen_multiplicity_k(ev, tol=1e-6):
     return plus
 
 
-def point_residuals(spec, point, ev=None):
+def point_residuals(ev):
     """All pointwise compatibility residuals, keyed like RESIDUAL_KEYS."""
-    ev = ev or spec.eval_at(point)
-    alg = check_algebraic(spec, point, ev)
-    grads = check_gradients(spec, point, ev)
+    alg = check_algebraic(ev)
+    grads = check_gradients(ev)
     return {
         "C1_algebraic": np.max(list(alg.values()), axis=0),
-        "C2_gauss": check_gauss(spec, point, ev),
-        "C3_codazzi": check_codazzi(spec, point, ev),
+        "C2_gauss": check_gauss(ev),
+        "C3_codazzi": check_codazzi(ev),
         "C4_grad_f": grads["grad_f"],
         "C5_grad_U": grads["grad_U"],
         "C6_grad_lambda": grads["grad_lambda"],
@@ -319,8 +312,10 @@ class CompatibilityReport:
     admissible: bool
     reasons: list = field(default_factory=list)
     skipped_points: list = field(default_factory=list)
-    # point_residuals of each grid point, None where skipped; not serialized
-    per_point: list = field(default_factory=list)
+    # not serialized: key -> (P,) point_residuals over the grid, in
+    # RESIDUAL_KEYS[:-1] order, and the (P,) mask of the points not skipped
+    values: dict = field(default_factory=dict)
+    usable: np.ndarray = None
 
     def to_dict(self):
         return {
@@ -339,66 +334,65 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
     """Run all compatibility checks over a grid and aggregate a verdict.
 
     The grid is evaluated in batches of ``geometry.GRID_CHUNK`` points;
-    points where the metric is singular are skipped.
+    points where the metric is singular are skipped, and their rows of
+    ``values`` hold NaN.
     """
     if grid is None:
         grid = spec.chart.grid(grid_density)
     n = spec.n
     eye = np.eye(n)
-    keys = RESIDUAL_KEYS[:-1]
     reasons = []
-    skipped = []
-    per_point = [None] * len(grid)
-    usable = []             # grid indices of the usable points, in order
-    columns = []            # per batch: residuals by key, then tr f + lambda
-    first = None            # StructureEval of the first usable point
+    values = {key: np.full(len(grid), np.nan) for key in RESIDUAL_KEYS[:-1]}
+    traces = np.full(len(grid), np.nan)     # tr f + lambda
+    usable = np.zeros(len(grid), dtype=bool)
+    first = None            # StructureEval of grid[0] unless it is skipped
     f_identity_everywhere = True
 
     for start, chunk in geo.grid_chunks(grid):
         v = spec._full_evaluator(chunk)
         ok = geo.definite_points(v["g"])
-        skipped += [grid[start + j] for j in np.flatnonzero(~ok)]
-        idx = (start + np.flatnonzero(ok)).tolist()
-        if not idx:
+        if not ok.any():
             continue
-        ev = spec._eval_from_values([grid[i] for i in idx],
+        idx = start + np.flatnonzero(ok)
+        ev = spec._eval_from_values(chunk[ok],
                                     {name: arr[ok] for name, arr in v.items()})
-        first = first or geo.point_of(ev, 0)
-        per = point_residuals(spec, ev.point, ev)
+        if start == 0 and ok[0]:
+            first = geo.point_of(ev, 0)
+        for key, val in point_residuals(ev).items():
+            values[key][idx] = val
+        traces[idx] = trace_invariant(ev)
+        usable[idx] = True
         f_deviation = np.minimum(np.abs(ev.f - eye).max((-2, -1)),
                                  np.abs(ev.f + eye).max((-2, -1)))
         f_identity_everywhere &= not np.any(f_deviation > tol)
-        usable += idx
-        columns.append([per[key] for key in keys] + [trace_invariant(ev)])
 
-    if not usable:
+    skipped = [grid[i] for i in np.flatnonzero(~usable)]
+    if not usable.any():
         return CompatibilityReport(
             dict.fromkeys(RESIDUAL_KEYS, 0.0),
             dict.fromkeys(RESIDUAL_KEYS), None, tol, False,
-            ["no usable grid points"], skipped, per_point)
-
-    *values, traces = np.concatenate(columns, axis=1)
-    for i, row in zip(usable, np.transpose(values).tolist()):
-        per_point[i] = dict(zip(keys, row))
+            ["no usable grid points"], skipped, values, usable)
 
     k = None
     try:
         # k is read at the first grid point from the values evaluated above;
         # a singular first point is reported by determine_k itself
-        k = determine_k(spec, grid[0], first if usable[0] == 0 else None,
-                        tol=max(tol, 1e-8))
+        k = determine_k(spec, grid[0], first, tol=max(tol, 1e-8))
     except (StructureError, SingularMetricError) as exc:
         reasons.append(str(exc))
+    rows = np.flatnonzero(usable)
+    traces = traces[rows]
     target = (2 * k - n - 1) if k is not None else float(np.mean(traces))
-    values.append(np.abs(traces - target))
 
-    # the first point attaining each sup, also when the sup is 0
+    # the first usable point attaining each sup, also when the sup is 0
     sup = {}
     worst = {}
-    for key, col in zip(RESIDUAL_KEYS, values):
+    for key in RESIDUAL_KEYS:
+        col = (values[key][rows] if key in values
+               else np.abs(traces - target))
         at = int(np.argmax(col))
         sup[key] = float(col[at])
-        worst[key] = grid[usable[at]]
+        worst[key] = grid[rows[at]]
 
     if f_identity_everywhere:
         reasons.append("excluded case f = +/-Id")
@@ -410,4 +404,4 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
 
     admissible = not reasons and k is not None
     return CompatibilityReport(sup, worst, k, tol, admissible, reasons, skipped,
-                               per_point)
+                               values, usable)

@@ -1,6 +1,9 @@
 """Command-line interface: schemas, report formats, exit codes."""
 
+import argparse
+import io
 import json
+import sys
 
 import pytest
 
@@ -420,10 +423,11 @@ def _check_report_text(source, grid):
     spec = cli.as_structure(obj, grid=points)
     report = st.admit(spec, grid=points)
     lines = []
-    for point, per in zip(points, report.per_point):
+    for j, point in enumerate(points):
         rec = {f"point_{n}": float(v) for n, v in zip(spec.chart.coords, point)}
-        rec.update({"res_skipped": 1.0} if per is None else
-                   {f"res_{key}": float(val) for key, val in per.items()})
+        rec.update({"res_skipped": 1.0} if not report.usable[j] else
+                   {f"res_{key}": float(val[j])
+                    for key, val in report.values.items()})
         lines.append(json.dumps(rec))
     lines.append(json.dumps({"summary": True, **report.to_dict()}))
     return "\n".join(lines) + "\n"
@@ -439,3 +443,22 @@ def test_streamed_check_report_is_byte_identical(capsys, tmp_path):
                        "--out", str(out_path))
     assert out_path.read_bytes() == expected.encode("utf-8")
     assert out == expected.splitlines(keepends=True)[-1]
+
+
+def test_csv_report_writes_rows_before_the_last_record(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    before_last = []
+
+    def records():
+        yield {"point_u1": 0.5, "res_C1_algebraic": 0.0}
+        before_last.append(out.getvalue())
+        yield {"point_u1": 0.75, "res_skipped": 1.0}
+
+    config = argparse.Namespace(format="csv", out=None)
+    keys = ["point_u1", "res_C1_algebraic", "res_skipped"]
+    cli.emit(config, {"k": 1}, (keys, records()))
+    assert before_last == ["point_u1,res_C1_algebraic,res_skipped\n"
+                           "0.5,0.0,\n"]
+    assert out.getvalue() == (before_last[0] + "0.75,,1.0\n"
+                              '{"summary": true, "k": 1}\n')

@@ -193,7 +193,7 @@ def test_validation_admits_the_sample_points(catalog_structures):
     _, spec = catalog_structures["diagonal_cylinder"]
     points = spec.chart.grid(3)
     report = rc.validate_theorem(spec, points, step=1e-2)
-    assert len(report.admission.per_point) == len(points)
+    assert len(report.admission.usable) == len(points)
 
 
 def _count_field_calls(monkeypatch):
@@ -287,3 +287,15 @@ def test_congruence_verdict_reads_its_tolerance(catalog_structures):
     assert am.solve_congruence(rebuilt, reference, h.k).congruent
     assert not am.solve_congruence(rebuilt, reference, h.k,
                                    tol=1e-20).congruent
+
+
+@pytest.mark.parametrize("name", ["geodesic_slice", "geodesic_slice_n3"])
+def test_empty_point_sets_give_empty_samples(name, catalog_structures):
+    h, spec = catalog_structures[name]
+    n = spec.n
+    imm, immersed = rc.immerse(spec, points=[], step=1e-2)
+    for samples in (immersed, imm.samples([]), am.hypersurface_samples(h, [])):
+        assert len(samples) == 0
+        assert samples.points.shape == (0, n)
+        assert samples.psi.shape == samples.normal.shape == (0, n + 3)
+        assert samples.dpsi.shape == (0, n + 3, n)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -43,7 +44,7 @@ def test_report_serializes():
 
 def test_point_residual_keys():
     spec = flat_slice_spec()
-    per = st.point_residuals(spec, spec.chart.base_point)
+    per = st.point_residuals(spec.eval_at(spec.chart.base_point))
     assert set(per) == set(st.RESIDUAL_KEYS) - {"k_consistency"}
 
 
@@ -169,8 +170,8 @@ def test_singular_grid_points_are_skipped_and_reported():
     assert not report.admissible
     assert report.skipped_points
     assert any("skipped" in r for r in report.reasons)
-    skipped = [p for p, per in zip(spec.chart.grid(4), report.per_point)
-               if per is None]
+    skipped = [p for p, ok in zip(spec.chart.grid(4), report.usable)
+               if not ok]
     assert skipped == report.skipped_points
 
 
@@ -180,10 +181,10 @@ def test_worst_points_are_first_points_attaining_each_sup(
     _, spec = catalog_structures[name]
     grid = spec.chart.grid(3)
     report = st.admit(spec, grid=grid)
-    assert "per_point" not in report.to_dict()
-    assert len(report.per_point) == len(grid)
+    assert not {"values", "usable"} & set(report.to_dict())
+    assert len(report.usable) == len(grid)
     for key in st.RESIDUAL_KEYS[:-1]:
-        values = [per[key] for per in report.per_point]
+        values = report.values[key].tolist()
         at = values.index(report.residuals[key])
         assert report.worst_points[key] == grid[at]
     target = 2 * report.k - spec.n - 1
@@ -248,12 +249,13 @@ def test_batched_admission_matches_per_point_oracle(
     assert report.k == want["k"]
     assert report.reasons == want["reasons"]
     assert report.skipped_points == want["skipped_points"]
-    assert ([per is None for per in report.per_point]
+    assert ([not ok for ok in report.usable]
             == [per is None for per in want["per_point"]])
-    for got, ref in zip(report.per_point, want["per_point"]):
+    for j, ref in enumerate(want["per_point"]):
         if ref is not None:
-            assert got.keys() == ref.keys()
-            assert all(abs(got[key] - ref[key]) <= TIE for key in ref)
+            assert report.values.keys() == ref.keys()
+            assert all(abs(report.values[key][j] - ref[key]) <= TIE
+                       for key in ref)
     for key in st.RESIDUAL_KEYS:
         sup = want["residuals"][key]
         assert abs(report.residuals[key] - sup) <= TIE
@@ -270,9 +272,9 @@ def test_batched_checks_serve_one_point_and_a_batch(catalog_structures):
     _, spec = catalog_structures["diagonal_cylinder"]
     grid = spec.chart.grid(3)
     batch = spec.eval_batch(grid)
-    per = st.point_residuals(spec, grid, batch)
+    per = st.point_residuals(batch)
     for j, point in enumerate(grid):
-        one = st.point_residuals(spec, point, spec.eval_at(point))
+        one = st.point_residuals(spec.eval_at(point))
         for key, val in one.items():
             assert np.ndim(val) == 0
             assert abs(per[key][j] - val) <= TIE
@@ -288,3 +290,27 @@ def test_field_batches_are_bit_identical_to_points(name, catalog_structures):
             one = evaluate(points[j:j + 1])         # the scalar path
             assert all(np.array_equal(batch[key][j], one[key][0])
                        for key in batch)
+
+
+def _admission_peak(spec, grid):
+    """tracemalloc peak, in bytes, of admitting ``grid``."""
+    tracemalloc.start()
+    try:
+        report = st.admit(spec, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.usable.all()
+    return peak
+
+
+def test_admission_memory_per_point_is_a_few_arrays(catalog_structures):
+    # the residuals stay (P,) arrays: no Python object per grid point
+    _, spec = catalog_structures["geodesic_slice"]
+    lo, hi = np.array(spec.chart.box).T
+    rng = np.random.default_rng(4096)
+    small, large = ([tuple(p) for p in lo + (hi - lo) * rng.random((m, 2))]
+                    for m in (2048, 8192))
+    st.admit(spec, grid=small)          # compiles the field evaluator
+    growth = _admission_peak(spec, large) - _admission_peak(spec, small)
+    assert growth / (len(large) - len(small)) < 256
