@@ -11,7 +11,6 @@ as cross-checks in the test suite.
 """
 
 import math
-import operator
 import re
 
 import numpy as np
@@ -514,49 +513,53 @@ def parse(text, coords=()):
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: one instruction tape over the shared DAG, run on
-# floats or on numpy arrays (grid sweeps, ODE right-hand sides)
-
-_SCALAR_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "neg": operator.neg, "ipow": operator.pow,     # integral exponent
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "exp": math.exp, "log": lambda x: _apply_unary("log", x),
-    "sqrt": lambda x: _apply_unary("sqrt", x),
-    "/": _apply_div, "^": _apply_pow,
-}
+# compiled evaluation: one instruction tape over the shared DAG, each
+# instruction one numpy ufunc on a column of P points; a single point is a
+# batch of one.  An op that can leave its domain or overflow is preceded on
+# the tape by a check of its operands, which stores the rows that fail in a
+# register of its own, and the batch raises for the first such row after
+# the tape has run.
 
 
-def _each(op):
-    """numpy form of a scalar op, applied element by element so that every
-    value is bit-identical to the scalar path (numpy's transcendental
-    functions and powers differ from ``math``'s in the last bit)."""
-    def apply(x, *const):
-        vals = x.tolist()
-        return np.fromiter(map(op, vals, *([c] * len(vals) for c in const)),
-                           float, len(vals))
-    return apply
+def _fault(test):
+    """Check instruction: None, or the rows where test(*operands) holds
+    with the first operand of each row."""
+    def check(*args):
+        rows = test(*args)
+        if rows.any():
+            return rows, np.broadcast_to(args[0], rows.shape)
+        return None
+    return check
 
 
-def _np_sqrt(x):
-    if np.any(x < 0.0):
-        raise DomainError("sqrt of negative value")
-    return np.sqrt(x)
+def _overflow(fn):
+    """Test for the rows where fn takes a finite operand to infinity."""
+    return lambda x, *c: np.isinf(fn(x, *c)) & np.isfinite(x)
 
 
-def _np_div(a, b):
-    if np.any(b == 0.0):
-        raise DomainError("division by zero")
-    return a / b
-
-
-# + - * / neg sqrt are correctly rounded in IEEE arithmetic, so numpy's
-# match the scalar ones; every other op runs the scalar op per element
-_NP_OPS = {
-    **{op: _each(fn) for op, fn in _SCALAR_OPS.items()},
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "neg": operator.neg, "sqrt": _np_sqrt, "/": _np_div,
+# op -> its ufunc, then the (test, message) of each check.  The messages
+# are those of math and of Python's float power; a {} shows the first
+# operand of the failing row.
+_RANGE = "(34, 'Numerical result out of range')"
+_OVERFLOW = "overflow (math range error)"
+_OPS = {
+    "+": (np.add,), "-": (np.subtract,), "*": (np.multiply,),
+    "neg": (np.negative,), "sin": (np.sin,), "cos": (np.cos,),
+    "tan": (np.tan,), "tanh": (np.tanh,),
+    "sinh": (np.sinh, (_overflow(np.sinh), _OVERFLOW)),
+    "cosh": (np.cosh, (_overflow(np.cosh), _OVERFLOW)),
+    "exp": (np.exp, (_overflow(np.exp), _OVERFLOW)),
+    "log": (np.log, (lambda x: x <= 0.0, "log of nonpositive value {}")),
+    "sqrt": (np.sqrt, (lambda x: x < 0.0, "sqrt of negative value {}")),
+    "/": (np.divide, (lambda a, b: np.equal(b, 0.0), "division by zero")),
+    # constant exponents: integral in [0, 64], other integral, non-integral
+    "ipow": (np.power, (_overflow(np.power), f"overflow ({_RANGE})")),
+    "^int": (np.power, (lambda b, c: (b == 0.0) & (c < 0.0),
+                        "zero raised to a negative power"),
+             (_overflow(np.power), _RANGE)),
+    "^": (np.power, (lambda b, c: b <= 0.0,
+                     "non-integer power of nonpositive base {}"),
+          (_overflow(np.power), "math range error")),
 }
 
 
@@ -564,25 +567,21 @@ def compile_exprs(exprs, coords):
     """Compile a batch of expressions into one function point -> list[float].
 
     The function runs an instruction tape that evaluates each unique DAG
-    node exactly once.  Its ``batch`` attribute runs the same tape over
-    numpy arrays: points of shape (P, len(coords)) -> values of shape
-    (P, len(exprs)), row j bit-identical to the function at points[j].
-    Both raise DomainError naming the point where a value leaves the
-    domain, overflows or is not finite.
+    node exactly once, every instruction a numpy ufunc.  Its ``batch``
+    attribute runs the tape on many points at once: points of shape
+    (P, len(coords)) -> values of shape (P, len(exprs)); the function is
+    the batch of one point.  Row j depends only on points[j], not on the
+    batch around it, and each value is within 4 ulp of the exact value of
+    its op on its operands (checked against mpmath).  Both raise
+    DomainError naming the first point where a value leaves the domain,
+    overflows or is not finite.
     """
     exprs = list(exprs)
     n = len(coords)
     order = postorder(exprs)
-    # register slots: the coordinates, then the constants (const nodes and
-    # integral exponents), then the temporaries
-    pool = {}
-    for node in order:
-        if node.kind == "const":
-            pool[node] = node.value
-        elif node.op == "^":
-            c = node.args[1].value
-            if c != 2.0 and float(c).is_integer() and 0 <= c <= 64:
-                pool[int, c] = int(c)
+    # register slots: the coordinates, then the constants, then the
+    # temporaries and the checks' results
+    pool = {node: node.value for node in order if node.kind == "const"}
     slot = {key: n + i for i, key in enumerate(pool)}
     # a temporary is free for reuse after its last reader, so a batch keeps
     # only the live values in memory; results stay live until the return
@@ -591,7 +590,8 @@ def compile_exprs(exprs, coords):
     last_read.update((e, len(order)) for e in exprs)
     first_temp = size = n + len(pool)
     free = []
-    tape = []       # (op, out, a, b); b is -1 for a unary op
+    steps = []      # (op function, out, a, b); b is -1 for a unary op
+    checks = []     # (register, message) of each check, in tape order
     for pos, node in enumerate(order):
         args = node.args
         if not args:
@@ -614,67 +614,56 @@ def compile_exprs(exprs, coords):
             c = args[1].value
             if c == 2.0:
                 op, b = "*", a
-            elif (int, c) in slot:
-                op, b = "ipow", slot[int, c]
-        tape.append((op, out, a, b))
+            elif float(c).is_integer():
+                op = "ipow" if 0 <= c <= 64 else "^int"
+        fn, *op_checks = _OPS[op]
+        for test, message in op_checks:
+            steps.append((_fault(test), size, a, b))
+            checks.append((size, message))
+            size += 1
+        steps.append((fn, out, a, b))
         slot[node] = out
     results = [slot[e] for e in exprs]
     template = [None] * n + list(pool.values()) + [None] * (size - first_temp)
-    # the tape bound to each op table, so the loop calls without a lookup
-    scalar_steps, vector_steps = (
-        [(ops[op], out, a, b) for op, out, a, b in tape]
-        for ops in (_SCALAR_OPS, _NP_OPS))
-
-    def run(point, steps):
-        regs = template.copy()
-        regs[:n] = point
-        if len(regs) != size:
-            raise ValueError(f"point must have {n} coordinates")
-        for fn, out, a, b in steps:
-            if b < 0:
-                regs[out] = fn(regs[a])
-            else:
-                regs[out] = fn(regs[a], regs[b])
-        return [regs[i] for i in results]
-
-    def compiled(point):
-        try:
-            vals = run(point, scalar_steps)
-        except OverflowError as exc:
-            raise DomainError(
-                f"overflow ({exc}) at {_point_text(point)}") from None
-        except DomainError as exc:
-            raise DomainError(f"{exc} at {_point_text(point)}") from None
-        if not all(map(math.isfinite, vals)):
-            raise DomainError(f"non-finite value at {_point_text(point)}")
-        return vals
 
     def batch(points):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != n:
             raise ValueError(f"points must have shape (P, {n}), "
                              f"not {points.shape}")
-        if len(points) == 1:
-            # numpy's per-operation overhead exceeds the work of one point
-            return np.array([compiled(points[0].tolist())])
-        out = np.empty((len(points), len(exprs)))
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for i, v in enumerate(run(points.T, vector_steps)):
-                    out[:, i] = v
-        except (DomainError, OverflowError, FloatingPointError):
-            pass
-        else:
-            if np.isfinite(out).all():
-                return out
-        # name the first failing point the way the scalar function does
-        for point in points.tolist():
-            compiled(point)
-        raise DomainError("floating-point overflow in batched evaluation")
+        regs = template.copy()
+        regs[:n] = points.T
+        with np.errstate(all="ignore"):
+            for fn, out, a, b in steps:
+                if b < 0:
+                    regs[out] = fn(regs[a])
+                else:
+                    regs[out] = fn(regs[a], regs[b])
+        vals = np.empty((len(points), len(exprs)))
+        for i, r in enumerate(results):
+            vals[:, i] = regs[r]
+        faults = [(*regs[r], message) for r, message in checks
+                  if regs[r] is not None]
+        if faults or not np.isfinite(vals).all():
+            _raise_first_fault(points, vals, faults)
+        return vals
+
+    def compiled(point):
+        return batch([point])[0].tolist()
 
     compiled.batch = batch
     return compiled
 
 
-def _point_text(point):
-    return str(tuple(float(x) for x in point))
+def _raise_first_fault(points, vals, faults):
+    """DomainError for the first row that fails a check or is not finite,
+    with the message of the first check it fails."""
+    bad = ~np.isfinite(vals).all(axis=1)
+    for rows, _, _ in faults:
+        bad |= rows
+    j = int(bad.argmax())
+    where = f"at {tuple(float(x) for x in points[j])}"
+    for rows, operand, message in faults:
+        if rows[j]:
+            raise DomainError(f"{message.format(float(operand[j]))} {where}")
+    raise DomainError(f"non-finite value {where}")

@@ -8,7 +8,7 @@ triple per iteration.  The theorem checks and the congruence solver are the
 per-sample loops the array expressions over a ``reconstruct.Samples``
 record replaced, with the model's inner product and factor positions
 written out for one point.  The tests compare the batched code against
-them.
+them, and compare each batched evaluation against itself on SUB_BATCHES.
 """
 
 import numpy as np
@@ -17,6 +17,11 @@ from immersion_forge import bundle as bd
 from immersion_forge import structure as st
 from immersion_forge.ambient import AmbientModel, NotOnModelError
 from immersion_forge.geometry import SingularMetricError
+
+# sub-batches at unaligned offsets and of odd lengths, up to row 1 032: a
+# batch row must not depend on where in a batch, or in what batch, it is
+SUB_BATCHES = [slice(start, start + length) for start in (1, 3, 7)
+               for length in (1, 3, 5, 17, 257, 1025)]
 
 
 def wedge(v, w, z, g):

@@ -133,9 +133,9 @@ def test_connection_data_batch_matches_pointwise(name, catalog_structures):
     batch = spec.connection_data_batch(points)
     for j, point in enumerate(points):
         single = spec.connection_data_at(point)
-        ev = spec.eval_at(point)        # independent scalar evaluator
-        scalar = (ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
-        for got, one, ref in zip(batch, single, scalar):
+        ev = spec.eval_at(point)        # the full table, compiled apart
+        full = (ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+        for got, one, ref in zip(batch, single, full):
             np.testing.assert_allclose(got[j], one, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(got[j], ref, rtol=1e-13, atol=1e-13)
 

@@ -1,6 +1,7 @@
 """Expression engine: parsing, exact derivatives, compilation."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from immersion_forge import expr as ex
+from oracles import SUB_BATCHES
 
 COORDS = ("u1", "u2")
 
@@ -134,7 +136,8 @@ def test_batch_matches_scalar_pointwise(text, rng):
     points = _random_points(100, rng)
     got = fn.batch(points)
     assert got.shape == (len(points), len(exprs))
-    want = np.array([fn(p) for p in points])
+    want = np.array([[ex.evaluate(x, dict(zip(COORDS, p))) for x in exprs]
+                     for p in points])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -243,8 +246,8 @@ def test_derivative_nodes_do_not_depend_on_memo_order(monkeypatch):
     assert all(ex.diff(e, c) is d for c, d in zip(COORDS, fresh))
 
 
-# every op kind of the tape: the ops numpy computes differently from math
-# run element by element, so a batch row is bit-identical to one point
+# every op kind of the tape that is not correctly rounded, and every
+# rewrite of a constant exponent
 BIT_IDENTICAL_CASES = [
     "sin(u1*u2)", "cos(u1 - u2)", "tan(u1/2)", "sinh(u1 + u2)",
     "cosh(u1*u2)", "tanh(u1)", "exp(u1 - u2)", "log(2 + u1*u2)",
@@ -255,15 +258,49 @@ BIT_IDENTICAL_CASES = [
 ]
 
 
+def _with_derivatives(text):
+    e = ex.parse(text, COORDS)
+    return [e, ex.diff(e, "u1"), ex.diff(ex.diff(e, "u1"), "u2")]
+
+
 @pytest.mark.parametrize("text", BIT_IDENTICAL_CASES)
 def test_batch_rows_are_bit_identical_to_points(text, rng):
-    e = ex.parse(text, COORDS)
-    exprs = [e, ex.diff(e, "u1"), ex.diff(ex.diff(e, "u1"), "u2")]
-    fn = ex.compile_exprs(exprs, COORDS)
-    points = np.array(_random_points(50, rng))
-    got = fn.batch(points)
-    for row, point in zip(got, points):
-        assert np.array_equal(row, fn(point.tolist()))
+    # a row is the same in the whole batch, in every sub-batch and as a
+    # batch of one, whatever the ufuncs' vector loops do with the rest
+    fn = ex.compile_exprs(_with_derivatives(text), COORDS)
+    points = np.array(_random_points(SUB_BATCHES[-1].stop, rng))
+    whole = fn.batch(points)
+    for part in SUB_BATCHES:
+        assert np.array_equal(fn.batch(points[part]), whole[part])
+    for point, row in zip(points, whole):
+        assert np.array_equal(fn(point), row)
+
+
+_MP_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+@pytest.mark.parametrize("text", BIT_IDENTICAL_CASES)
+def test_every_instruction_is_within_4_ulp_of_mpmath(text, rng):
+    # each compiled node against its op evaluated to 50 digits on the
+    # node's own float operands, so roundoff carried in from the operands
+    # (cos(u1 - u2) is 31 ulp off near u1 = u2) is not counted
+    mpmath = pytest.importorskip("mpmath")
+    nodes = [node for node in ex.postorder(_with_derivatives(text))
+             if node.args]
+    points = _random_points(16, rng)
+    values = ex.compile_exprs(nodes, COORDS).batch(points)
+    with mpmath.workdps(50):
+        for point, row in zip(points, values):
+            env = dict(zip(COORDS, point))
+            got = dict(zip(nodes, row))
+            for node, value in got.items():
+                args = [mpmath.mpf(got[a] if a.args else ex.evaluate(a, env))
+                        for a in node.args]
+                op = getattr(mpmath, node.op, None) or _MP_OPS[node.op]
+                exact = op(*args)
+                assert (abs(mpmath.mpf(value) - exact)
+                        <= 4 * np.spacing(abs(float(exact))))
 
 
 @pytest.mark.parametrize("text,bad", [
@@ -282,3 +319,17 @@ def test_mapped_op_failure_names_its_point(text, bad):
     with pytest.raises(ex.DomainError, match=f"at \\({bad},\\)") as got:
         fn.batch(points)
     assert str(got.value) == str(want.value)
+
+
+def test_first_failing_row_is_named_whatever_op_fails_first():
+    # row 3 fails in log, earlier on the tape; row 1 overflows in cosh, and
+    # 1/inf = 0 leaves no trace in the value
+    fn = ex.compile_exprs([ex.parse("log(u1) + 1/cosh(1000*u1)", ("u1",))],
+                          ("u1",))
+    points = [(0.5,), (0.9,), (0.25,), (-0.5,), (0.75,)]
+    with pytest.raises(ex.DomainError) as err:
+        fn.batch(points)
+    assert str(err.value) == "overflow (math range error) at (0.9,)"
+    with pytest.raises(ex.DomainError) as err:
+        fn.batch(points[2:])
+    assert str(err.value) == "log of nonpositive value -0.5 at (-0.5,)"

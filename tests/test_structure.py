@@ -282,14 +282,21 @@ def test_batched_checks_serve_one_point_and_a_batch(catalog_structures):
 
 @pytest.mark.parametrize("name", sorted(TRACE_TARGETS))
 def test_field_batches_are_bit_identical_to_points(name, catalog_structures):
+    # each sub-batch, and every 43rd point as a batch of one, gives the
+    # same rows as the whole batch
     _, spec = catalog_structures[name]
-    points = np.array(spec.chart.grid(3))
+    lo, hi = np.array(spec.chart.box).T
+    rng = np.random.default_rng(1032)
+    size = (oracles.SUB_BATCHES[-1].stop, len(lo))
+    points = lo + (hi - lo) * rng.random(size)
+    parts = oracles.SUB_BATCHES + [slice(j, j + 1)
+                                   for j in range(0, len(points), 43)]
     for evaluate in (spec._full_evaluator, spec._connection_evaluator):
-        batch = evaluate(points)
-        for j in range(len(points)):
-            one = evaluate(points[j:j + 1])         # the scalar path
-            assert all(np.array_equal(batch[key][j], one[key][0])
-                       for key in batch)
+        whole = evaluate(points)
+        for part in parts:
+            rows = evaluate(points[part])
+            assert all(np.array_equal(rows[key], whole[key][part])
+                       for key in whole)
 
 
 def _admission_peak(spec, grid):
