@@ -7,22 +7,29 @@ into the Minkowski model of the product by parallel transport in a flat
 extended bundle.
 """
 
-from .ambient import (AmbientModel, ParametrizedHypersurface, audit_equations,
-                      catalog_entry, catalog_names, extract_structure,
-                      solve_congruence)
-from .bundle import ConnectionField, staircase_path
-from .geometry import Chart, MetricField
-from .reconstruct import Immersion, Samples, immerse, validate_theorem
-from .structure import (CompatibilityReport, InadmissibleStructureError,
-                        StructureSpec, admit, determine_k)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientModel", "Chart", "CompatibilityReport", "ConnectionField",
-    "Immersion", "InadmissibleStructureError", "MetricField",
-    "ParametrizedHypersurface", "Samples", "StructureSpec",
-    "admit", "audit_equations", "catalog_entry", "catalog_names",
-    "determine_k", "extract_structure", "immerse", "solve_congruence",
-    "staircase_path", "validate_theorem", "__version__",
-]
+# public name -> the module defining it, imported on first access (PEP 562)
+# so that importing a submodule such as ``cli`` does not import numpy first
+_HOMES = {
+    "ambient": ("AmbientModel", "ParametrizedHypersurface", "audit_equations",
+                "catalog_entry", "catalog_names", "extract_structure",
+                "solve_congruence"),
+    "bundle": ("ConnectionField", "staircase_path"),
+    "geometry": ("Chart", "MetricField"),
+    "reconstruct": ("Immersion", "Samples", "immerse", "validate_theorem"),
+    "structure": ("CompatibilityReport", "InadmissibleStructureError",
+                  "StructureSpec", "admit", "determine_k"),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items()
+              for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)

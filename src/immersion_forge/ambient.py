@@ -213,7 +213,8 @@ class ParametrizedHypersurface:
             if len(bad):
                 j = bad[0]
                 text = next(text for fails, text in checks if fails[j])
-                raise NotOnModelError(text.format(grid[start + j], res[j]))
+                raise NotOnModelError(
+                    text.format(tuple(map(float, chunk[j])), res[j]))
             worst = max(worst, float(res.max()))
         return worst
 

@@ -16,9 +16,10 @@ steps, and the stage points of many segments share field batches.
 
 import numpy as np
 
+from . import geometry as geo
+
 DEFAULT_STEP = 1e-3
-# RK4 steps per block propagator, and steps' worth of stage points per
-# batched field call; bounds transport memory at any step size
+# RK4 steps per block propagator
 STAGE_BLOCK = 128
 
 
@@ -114,9 +115,8 @@ class ConnectionField:
         into blocks of at most STAGE_BLOCK steps from its own start; each
         block gives ``_block_step`` of its stage matrices
         B = -delta . A(p0 + t delta).  The stage points of consecutive
-        blocks are evaluated 2 STAGE_BLOCK + 1 per field call, each row on
-        its own, so a segment's result does not depend on the segments
-        batched with it, and memory stays bounded at any step.
+        blocks are evaluated ``geometry.GRID_CHUNK`` per field call, each
+        on its own: a segment's result does not depend on its batch.
         """
         blocks = [(j, first, steps, min(STAGE_BLOCK, steps - first))
                   for j, (p0, p1) in enumerate(segments)
@@ -132,7 +132,7 @@ class ConnectionField:
         for k, size in enumerate(2 * count + 1):
             while len(B) < size:
                 done = ends[k] - size + len(B)      # rows evaluated so far
-                r = np.arange(done, min(done + 2 * STAGE_BLOCK + 1, ends[-1]))
+                r = np.arange(done, min(done + geo.GRID_CHUNK, ends[-1]))
                 i = np.searchsorted(ends, r, side="right")   # block of row r
                 t = (2 * (first[i] + count[i]) + 1 + r - ends[i]) / (2.0 * steps[i])
                 A = assemble_coefficients(*self.spec.connection_data_batch(

@@ -22,9 +22,9 @@ components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
 validation, 2 malformed input (including a k that is not an integer in
 1..n, repeated coordinate names, a field nested to the wrong depth, a
---base outside the chart, a --grid above 100 000 grid points in all, an
---out that cannot be written and a field expression that leaves its
-domain or overflows) or off-model data.
+--base outside the chart, a --grid above 100 000 grid points in all, a
+--step outside [1e-06, 0.1], an --out that cannot be written and a field
+expression that leaves its domain or overflows) or off-model data.
 """
 
 import argparse
@@ -36,21 +36,24 @@ import os
 import sys
 import tempfile
 
-import numpy as np
+# every matrix here is at most 8 x 8, so the BLAS thread pool that numpy
+# starts at import only adds start-up time; a value set by the user wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import ambient as am
-from . import expr as ex
-from . import geometry as geo
-from . import reconstruct as rc
-from . import structure as st
+import numpy as np  # noqa: E402
+
+from . import ambient as am  # noqa: E402
+from . import expr as ex  # noqa: E402
+from . import geometry as geo  # noqa: E402
+from . import reconstruct as rc  # noqa: E402
+from . import structure as st  # noqa: E402
 
 
 class InputError(Exception):
     """Malformed input document or configuration (exit code 2)."""
 
 
-# largest grid in points, --grid to the power of the chart dimension; the
-# grid is materialized as a list of point tuples
+# largest grid in points, --grid to the power of the chart dimension
 MAX_GRID_POINTS = 100_000
 
 
@@ -415,8 +418,9 @@ def validate_config(config):
         raise InputError("tolerance must be positive")
     if config.grid < 2:
         raise InputError("grid density must be >= 2")
-    if not 0.0 < config.step <= 0.1:
-        raise InputError("step must lie in (0, 0.1]")
+    # the floor bounds the RK4 steps, and so the blocks, of every segment
+    if not 1e-6 <= config.step <= 0.1:
+        raise InputError("step must lie in [1e-06, 0.1]")
     if config.out:
         out = os.path.abspath(config.out)
         if os.path.isdir(out):

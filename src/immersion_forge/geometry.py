@@ -68,8 +68,8 @@ class Chart:
             for (lo, hi), p in zip(self.box, point))
 
     def grid(self, density=8):
-        """Uniform grid of ``density`` values per axis over the box shrunk
-        by GRID_MARGIN of each side, row-major order."""
+        """(density ** n, n) array of a uniform grid, ``density`` values per
+        axis over the box shrunk by GRID_MARGIN of each side, row-major."""
         if density < 2:
             raise GeometryError("grid density must be >= 2")
         axes = []
@@ -77,8 +77,7 @@ class Chart:
             pad = GRID_MARGIN * (hi - lo)
             axes.append(np.linspace(lo + pad, hi - pad, density))
         mesh = np.meshgrid(*axes, indexing="ij")
-        return [tuple(float(m[idx]) for m in mesh)
-                for idx in np.ndindex(*mesh[0].shape)]
+        return np.stack(mesh, -1).reshape(-1, self.n)
 
 
 def expr_matrix(rows, coords):
@@ -123,8 +122,8 @@ def compile_fields(fields, coords):
     return evaluate
 
 
-# grid points evaluated per batch: bounds the memory of the field arrays
-# and of the expression tape's live registers at any grid size
+# points evaluated per batch, of a grid or of transport stages: bounds the
+# memory of the field arrays and the tape's live registers at any size
 GRID_CHUNK = 1024
 
 

@@ -366,7 +366,7 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
                                  np.abs(ev.f + eye).max((-2, -1)))
         f_identity_everywhere &= not np.any(f_deviation > tol)
 
-    skipped = [grid[i] for i in np.flatnonzero(~usable)]
+    skipped = [tuple(map(float, grid[i])) for i in np.flatnonzero(~usable)]
     if not usable.any():
         return CompatibilityReport(
             dict.fromkeys(RESIDUAL_KEYS, 0.0),
@@ -377,7 +377,8 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
     try:
         # k is read at the first grid point from the values evaluated above;
         # a singular first point is reported by determine_k itself
-        k = determine_k(spec, grid[0], first, tol=max(tol, 1e-8))
+        k = determine_k(spec, tuple(map(float, grid[0])), first,
+                        tol=max(tol, 1e-8))
     except (StructureError, SingularMetricError) as exc:
         reasons.append(str(exc))
     rows = np.flatnonzero(usable)
@@ -392,7 +393,7 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
                else np.abs(traces - target))
         at = int(np.argmax(col))
         sup[key] = float(col[at])
-        worst[key] = grid[rows[at]]
+        worst[key] = tuple(map(float, grid[rows[at]]))
 
     if f_identity_everywhere:
         reasons.append("excluded case f = +/-Id")

@@ -1,6 +1,7 @@
-"""Per-point reference versions of the admission checks, of the
-reconstruction's sample read-off, of the theorem checks and of the
-congruence solver, and per-point residuals of the bundle connection.
+"""Per-point reference versions of the chart grid, of the admission
+checks, of the reconstruction's sample read-off, of the theorem checks
+and of the congruence solver, and per-point residuals of the bundle
+connection.
 
 The admission checks are the triple loops the batched checks in
 ``structure`` replaced: one point at a time, one basis vector, pair or
@@ -16,12 +17,24 @@ import numpy as np
 from immersion_forge import bundle as bd
 from immersion_forge import structure as st
 from immersion_forge.ambient import AmbientModel, NotOnModelError
-from immersion_forge.geometry import SingularMetricError
+from immersion_forge.geometry import GRID_MARGIN, SingularMetricError
 
 # sub-batches at unaligned offsets and of odd lengths, up to row 1 032: a
 # batch row must not depend on where in a batch, or in what batch, it is
 SUB_BATCHES = [slice(start, start + length) for start in (1, 3, 7)
                for length in (1, 3, 5, 17, 257, 1025)]
+
+
+def chart_grid(chart, density):
+    """The chart grid as a list of point tuples, one meshgrid entry at a
+    time, row-major: the construction ``Chart.grid``'s array replaced."""
+    axes = []
+    for lo, hi in chart.box:
+        pad = GRID_MARGIN * (hi - lo)
+        axes.append(np.linspace(lo + pad, hi - pad, density))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return [tuple(float(m[idx]) for m in mesh)
+            for idx in np.ndindex(*mesh[0].shape)]
 
 
 def wedge(v, w, z, g):
@@ -137,7 +150,9 @@ def point_residuals(spec, ev):
 def admit(spec, grid, tol=st.DEFAULT_TOLERANCE):
     """The per-point admission loop.  Returns the fields of
     ``structure.CompatibilityReport`` that admission computes, plus
-    ``values``: key -> [(point, residual)] over the usable points."""
+    ``values``: key -> [(point, residual)] over the usable points, each
+    point a tuple as the report gives it."""
+    grid = [tuple(map(float, p)) for p in grid]
     n = spec.n
     sup = {key: 0.0 for key in st.RESIDUAL_KEYS}
     worst = {key: None for key in st.RESIDUAL_KEYS}
@@ -206,7 +221,9 @@ def audit(spec, grid):
 
 
 def check_on_model(h, grid, tol=1e-10):
-    """The per-point on-model check: residual, then sheet, then rank."""
+    """The per-point on-model check: residual, then sheet, then rank; the
+    error names the point as a tuple."""
+    grid = [tuple(map(float, p)) for p in grid]
     worst = 0.0
     for point in grid:
         vals = h._sample_evaluator([point])

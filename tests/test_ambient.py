@@ -360,6 +360,7 @@ def test_batched_on_model_check_names_the_first_failing_point(
     with pytest.raises(am.NotOnModelError) as got:
         h.check_on_model(grid=LINE_GRID)
     assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"{message} {LINE_GRID[index]}")
+    assert str(got.value).startswith(
+        f"{message} {tuple(map(float, LINE_GRID[index]))}")
     # passing points come first; the same check passes on them
     assert h.check_on_model(grid=LINE_GRID[:index]) < 1e-10

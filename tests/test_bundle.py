@@ -199,16 +199,13 @@ def test_transport_rejects_division_by_zero_at_stage_point():
 
 # -- shared stage batches ----------------------------------------------------
 
+STEP = 2e-3
+LONG = ((-0.4, -0.3), (0.5, 0.4))           # 571 steps at STEP
+SEGMENTS = [((0.1, 0.2), (0.1, 0.23)), LONG, ((0.3, 0.3), (0.3, 0.3)),
+            ((-0.2, 0.1), (0.25, 0.1))]
 
-def test_segment_in_shared_batch_equals_segment_alone(cylinder, rng,
-                                                      monkeypatch):
-    spec, conn = cylinder
-    step = 2e-3
-    long = ((-0.4, -0.3), (0.5, 0.4))           # 571 steps
-    assert np.ceil(np.linalg.norm(np.subtract(long[1], long[0])) / step) \
-        > bd.STAGE_BLOCK
-    segments = [((0.1, 0.2), (0.1, 0.23)), long, ((0.3, 0.3), (0.3, 0.3)),
-                ((-0.2, 0.1), (0.25, 0.1))]
+
+def _count_field_calls(monkeypatch):
     calls = []
     original = st.StructureSpec.connection_data_batch
 
@@ -217,6 +214,16 @@ def test_segment_in_shared_batch_equals_segment_alone(cylinder, rng,
         return original(self, points)
 
     monkeypatch.setattr(st.StructureSpec, "connection_data_batch", counting)
+    return calls
+
+
+def test_segment_in_shared_batch_equals_segment_alone(cylinder, rng,
+                                                      monkeypatch):
+    spec, conn = cylinder
+    step, long, segments = STEP, LONG, SEGMENTS
+    assert np.ceil(np.linalg.norm(np.subtract(long[1], long[0])) / step) \
+        > bd.STAGE_BLOCK
+    calls = _count_field_calls(monkeypatch)
     M0 = np.eye(conn.fiber_dim) + 0.1 * rng.standard_normal(
         (conn.fiber_dim, conn.fiber_dim))
     shared = [conn.transport_segment(p0, p1, M0, step=step, blocks=blocks)
@@ -233,6 +240,22 @@ def test_segment_in_shared_batch_equals_segment_alone(cylinder, rng,
     assert conn.block_steps(segments[2:3], step) == [[]]
     assert np.array_equal(shared[2], M0) and shared[2] is not M0
     assert conn.block_steps([], step) == []
+
+
+@pytest.mark.parametrize("chunk", [3, 257, 1024])
+def test_block_steps_take_stage_points_in_grid_chunk_windows(
+        cylinder, chunk, monkeypatch):
+    # 257 is one block's stage points, 1024 the default chunk; every window
+    # straddles segment and block boundaries
+    _, conn = cylinder
+    reference = conn.block_steps(SEGMENTS, STEP)
+    calls = _count_field_calls(monkeypatch)
+    monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
+    got = conn.block_steps(SEGMENTS, STEP)
+    assert calls and max(calls) <= chunk
+    assert [len(blocks) for blocks in got] == [len(b) for b in reference]
+    for blocks, want in zip(got, reference):
+        assert all(np.array_equal(D, W) for D, W in zip(blocks, want))
 
 
 def test_multi_segment_transport_matches_per_point_reference(cylinder, rng):

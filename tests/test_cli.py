@@ -3,10 +3,14 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from immersion_forge import bundle as bd
 from immersion_forge import cli
 from immersion_forge import structure as st
 
@@ -224,6 +228,52 @@ def test_invalid_json_exits_2(capsys, tmp_path):
 def test_config_invariants_exit_2(capsys, flags):
     code, _, err = run(capsys, "check", "catalog:geodesic_slice", *flags)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+@pytest.mark.parametrize("step", ["1e-300", "1e-7"])
+def test_step_below_floor_exits_2_before_transport(capsys, monkeypatch,
+                                                   command, step):
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transport started")
+
+    monkeypatch.setattr(bd.ConnectionField, "block_steps", no_transport)
+    code, out, err = run(capsys, command, "catalog:geodesic_slice",
+                         "--grid", "2", "--step", step)
+    assert code == 2
+    assert out == ""
+    assert err == "error: step must lie in [1e-06, 0.1]\n"
+
+
+def test_step_floor_and_ceiling_are_accepted():
+    for step in ("1e-6", "0.1"):
+        cli.validate_config(cli.build_parser().parse_args(
+            ["reconstruct", "catalog:geodesic_slice", "--step", step]))
+
+
+IMPORT_PROBE = """
+import os, sys
+import immersion_forge as mf
+print("numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))
+import immersion_forge.cli
+from immersion_forge import admit
+print(mf.admit is admit, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_only_the_cli_import_sets_one_blas_thread(preset):
+    env = {key: val for key, val in os.environ.items()
+           if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    # the package import loads no numpy and leaves the environment alone;
+    # the cli import sets one thread unless the variable was set already
+    assert out.splitlines() == [f"False {preset}", f"True {preset or 1}"]
 
 
 def test_reconstruct_catalog(capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import wedge
+from oracles import chart_grid, wedge
 
 from immersion_forge import expr as ex
 from immersion_forge import geometry as geo
@@ -208,13 +208,25 @@ class TestChart:
         chart = geo.Chart(("u1", "u2"), ((0.0, 1.0), (0.0, 1.0)), (0.5, 0.5))
         a = chart.grid(3)
         b = chart.grid(3)
-        assert a == b
+        assert np.array_equal(a, b)
         assert a[0][0] == a[1][0] == a[2][0]   # first axis varies slowest
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_is_the_tuple_grid_bit_for_bit(self, n):
+        chart = geo.Chart(("u1", "u2", "u3")[:n],
+                          ((-0.9, 0.9), (-0.4, 0.3), (0.1, 2.0))[:n],
+                          (0.0, 0.0, 1.0)[:n])
+        for density in (2, 3, 8):
+            grid = chart.grid(density)
+            want = np.array(chart_grid(chart, density))
+            assert grid.dtype == np.float64
+            assert grid.shape == (density ** n, n)
+            assert grid.tobytes() == want.tobytes()
 
     def test_grids_share_endpoints_across_densities(self):
         chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
-        coarse = set(chart.grid(2))
-        fine = set(chart.grid(8))
+        coarse = {tuple(map(float, p)) for p in chart.grid(2)}
+        fine = {tuple(map(float, p)) for p in chart.grid(8)}
         assert coarse <= fine
 
     def test_validation(self):

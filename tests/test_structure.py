@@ -170,8 +170,8 @@ def test_singular_grid_points_are_skipped_and_reported():
     assert not report.admissible
     assert report.skipped_points
     assert any("skipped" in r for r in report.reasons)
-    skipped = [p for p, ok in zip(spec.chart.grid(4), report.usable)
-               if not ok]
+    skipped = [tuple(map(float, p))
+               for p, ok in zip(spec.chart.grid(4), report.usable) if not ok]
     assert skipped == report.skipped_points
 
 
@@ -186,11 +186,12 @@ def test_worst_points_are_first_points_attaining_each_sup(
     for key in st.RESIDUAL_KEYS[:-1]:
         values = report.values[key].tolist()
         at = values.index(report.residuals[key])
-        assert report.worst_points[key] == grid[at]
+        assert report.worst_points[key] == tuple(grid[at])
     target = 2 * report.k - spec.n - 1
     devs = [abs(st.trace_invariant(spec.eval_at(p)) - target) for p in grid]
     assert report.residuals["k_consistency"] == max(devs)
-    assert report.worst_points["k_consistency"] == grid[devs.index(max(devs))]
+    assert (report.worst_points["k_consistency"]
+            == tuple(grid[devs.index(max(devs))]))
 
 
 def test_eval_at_exposes_exact_derivatives(catalog_structures):
