@@ -18,7 +18,7 @@ _HOMES = {
                 "catalog_entry", "catalog_names", "extract_structure",
                 "solve_congruence"),
     "bundle": ("ConnectionField", "staircase_path"),
-    "geometry": ("Chart", "MetricField"),
+    "geometry": ("Chart",),
     "reconstruct": ("Immersion", "Samples", "immerse", "validate_theorem"),
     "structure": ("CompatibilityReport", "InadmissibleStructureError",
                   "StructureSpec", "admit", "determine_k"),

@@ -31,14 +31,10 @@ class NotOnModelError(AmbientError):
     pass
 
 
-class NotTangentError(AmbientError):
-    pass
-
-
 @dataclass(frozen=True)
 class AmbientModel:
     """S^k x H^(n-k+1) in the (n+3)-dimensional Minkowski space; points and
-    vectors may carry leading axes (not in require_tangent and wedge)."""
+    vectors may carry leading axes."""
 
     n: int
     k: int
@@ -87,41 +83,6 @@ class AmbientModel:
         corr2 = 0.5 * self.inner(X - FX, Y)
         return (corr1[..., None] * self.xi1(x)
                 - corr2[..., None] * self.xi2(x))
-
-    def require_tangent(self, x, *vectors, tol=1e-10):
-        if self.on_model_residual(x) > tol:
-            raise NotOnModelError(f"point off the model: {x}")
-        for v in vectors:
-            if self.tangency_residual(x, v) > tol:
-                raise NotTangentError(f"vector not tangent at {x}: {v}")
-
-    def wedge(self, X, Y, Z):
-        """(X ^ Y) Z with respect to the induced (Minkowski) metric."""
-        return self.inner(Y, Z) * np.asarray(X) - self.inner(X, Z) * np.asarray(Y)
-
-
-def ambient_connection(model, x, X, Y, dY, tol=1e-10):
-    """Levi-Civita connection of the model applied to tangent data.
-
-    ``dY`` is the flat (componentwise) directional derivative D_X Y of the
-    tangential extension of Y; the returned vector adds the second
-    fundamental form of the model inside Minkowski space.
-    """
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    model.require_tangent(x, X, Y, tol=tol)
-    return np.asarray(dY, dtype=float) + model.connection_correction(x, X, Y)
-
-
-def ambient_curvature(model, x, X, Y, Z, tol=1e-10):
-    """Curvature R(X,Y)Z = (Fhat((X^Y)Z) + (X^Y)(Fhat Z)) / 2 of the model."""
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    model.require_tangent(x, X, Y, Z, tol=tol)
-    F = model.fhat
-    return 0.5 * (F @ model.wedge(X, Y, Z) + model.wedge(X, Y, F @ Z))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +244,7 @@ def extract_structure(h):
 
     # the Minkowski-flat second derivative suffices for the shape operator:
     # <d2x, nu> kills the model's xi1/xi2 correction terms since nu is
-    # tangent to the model (asserted at runtime by require_tangent).
+    # orthogonal to xi1 and xi2 by construction.
     hform = [[minkowski_dot([ddx[a][i][j] for a in range(d)], nu)
               for j in range(n)] for i in range(n)]
     S = [[_dot_row(ginv[i], [hform[m][j] for m in range(n)])

@@ -19,12 +19,30 @@ import numpy as np
 from . import geometry as geo
 
 DEFAULT_STEP = 1e-3
+# the transport steps accepted; a step that is not positive takes no RK4 step
+MIN_STEP = 1e-6
+MAX_STEP = 0.1
+# most RK4 steps across the widest side of a chart box, that side / step.
+# At the cap one segment's entry of ``block_steps`` holds 78 125 block
+# propagators, about 94 MB at n = 3 (1.2 kB a block); a run keeps one such
+# entry per staircase segment at once, so the cap bounds a segment, not a
+# run.  The catalog's widest side at MIN_STEP takes 2e6 steps.
+MAX_SIDE_STEPS = 10_000_000
 # RK4 steps per block propagator
 STAGE_BLOCK = 128
 
 
-class BundleError(Exception):
-    pass
+def step_error(box, step):
+    """Why ``step`` cannot transport in a chart of box ``box``, or None: it
+    lies outside [MIN_STEP, MAX_STEP] (NaN included), or takes more than
+    MAX_SIDE_STEPS RK4 steps across the widest side of the box."""
+    if not MIN_STEP <= step <= MAX_STEP:
+        return f"step must lie in [{MIN_STEP!r}, {MAX_STEP!r}]"
+    side_steps = max(hi - lo for lo, hi in box) / step
+    if side_steps > MAX_SIDE_STEPS:
+        return (f"step {step!r} takes {side_steps:.3g} RK4 steps across the "
+                f"widest side of the chart box; the cap is {MAX_SIDE_STEPS}")
+    return None
 
 
 def assemble_coefficients(g, gamma, S, f, u):
@@ -102,10 +120,6 @@ class ConnectionField:
         g, gamma, S, f, u = self.spec.connection_data_at(point)
         return assemble_coefficients(g, gamma, S, f, u)
 
-    def gram(self, point):
-        g, *_ = self.spec.connection_data_at(point)
-        return assemble_gram(g)
-
     # -- transport ----------------------------------------------------------
 
     def block_steps(self, segments, step=DEFAULT_STEP):
@@ -153,25 +167,6 @@ class ConnectionField:
             M = M + D @ M
         return M
 
-    def transport(self, waypoints, M=None, step=DEFAULT_STEP):
-        """Transport along a polyline of waypoints (chart points)."""
-        waypoints = [np.asarray(p, dtype=float) for p in waypoints]
-        if len(waypoints) < 1:
-            raise BundleError("empty path")
-        if M is None:
-            M = np.eye(self.fiber_dim)
-        segments = list(zip(waypoints[:-1], waypoints[1:]))
-        for (a, b), blocks in zip(segments, self.block_steps(segments, step)):
-            M = self.transport_segment(a, b, M, step=step, blocks=blocks)
-        return M
-
-    def gram_drift(self, waypoints, step=DEFAULT_STEP):
-        """Deviation of M^T G(end) M from G(start) after transport."""
-        M = self.transport(waypoints, step=step)
-        G0 = self.gram(waypoints[0])
-        G1 = self.gram(waypoints[-1])
-        return float(np.abs(M.T @ G1 @ M - G0).max())
-
 
 def _block_step(B, h):
     """P - I for the product P of the RK4 steps P_s = I + h/6 (K1 + 2 K2 +
@@ -204,22 +199,3 @@ def staircase_path(p0, p1):
             cur[i] = p1[i]
             points.append(cur)
     return [tuple(p) for p in points]
-
-
-def rectangle_loop(p0, p1):
-    """Closed axis-aligned loop through opposite corners p0 and p1 (2D)."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    if len(p0) != 2:
-        raise BundleError("rectangle loops need a 2-dimensional chart")
-    a = (p0[0], p0[1])
-    b = (p1[0], p0[1])
-    c = (p1[0], p1[1])
-    d = (p0[0], p1[1])
-    return [a, b, c, d, a]
-
-
-def holonomy_defect(conn, loop, step=DEFAULT_STEP):
-    """Distance of the loop transport from the identity."""
-    M = conn.transport(loop, step=step)
-    return float(np.abs(M - np.eye(conn.fiber_dim)).max())

@@ -23,8 +23,11 @@ stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
 validation, 2 malformed input (including a k that is not an integer in
 1..n, repeated coordinate names, a field nested to the wrong depth, a
 --base outside the chart, a --grid above 100 000 grid points in all, a
---step outside [1e-06, 0.1], an --out that cannot be written and a field
-expression that leaves its domain or overflows) or off-model data.
+--step outside [1e-06, 0.1], a chart box with a bound, width or base
+coordinate that is not finite, for reconstruct and roundtrip a box whose
+widest side takes more than 10 000 000 steps of --step, an --out that
+cannot be written and a field expression that leaves its domain or
+overflows) or off-model data.
 """
 
 import argparse
@@ -43,6 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import ambient as am  # noqa: E402
+from . import bundle as bd  # noqa: E402
 from . import expr as ex  # noqa: E402
 from . import geometry as geo  # noqa: E402
 from . import reconstruct as rc  # noqa: E402
@@ -280,6 +284,16 @@ def _sample_table(chart, samples):
                   [(name, col, None) for name, col in zip(names, values)])
 
 
+def load_transport_input(config):
+    """``load_checked_input`` for the commands that transport: it also
+    rejects a --step that ``bundle.step_error`` refuses for the chart."""
+    obj = load_checked_input(config)
+    error = bd.step_error(obj.chart.box, config.step)
+    if error is not None:
+        raise InputError(error)
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -299,7 +313,7 @@ def cmd_check(config):
 
 
 def cmd_reconstruct(config):
-    obj = load_checked_input(config)
+    obj = load_transport_input(config)
     grid = obj.chart.grid(config.grid)
     spec = as_structure(obj, grid=grid)
     tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
@@ -326,7 +340,7 @@ def cmd_extract(config):
 
 
 def cmd_roundtrip(config):
-    h = as_hypersurface(load_checked_input(config))
+    h = as_hypersurface(load_transport_input(config))
     grid = h.chart.grid(config.grid)
     spec = as_structure(h, grid=grid)
     admission = st.admit(spec, grid=grid)
@@ -393,8 +407,8 @@ def build_parser():
                        help="residual tolerance (per-command default)")
         p.add_argument("--grid", type=int, default=8,
                        help="grid density per axis (default 8)")
-        p.add_argument("--step", type=float, default=1e-3,
-                       help="RK4 transport step (default 1e-3)")
+        p.add_argument("--step", type=float, default=bd.DEFAULT_STEP,
+                       help="RK4 transport step (default %(default)g)")
         p.add_argument("--base", type=_point_arg, default=None,
                        help="base point override, comma-separated floats")
         p.add_argument("--out", default=None,
@@ -418,9 +432,9 @@ def validate_config(config):
         raise InputError("tolerance must be positive")
     if config.grid < 2:
         raise InputError("grid density must be >= 2")
-    # the floor bounds the RK4 steps, and so the blocks, of every segment
-    if not 1e-6 <= config.step <= 0.1:
-        raise InputError("step must lie in [1e-06, 0.1]")
+    if not bd.MIN_STEP <= config.step <= bd.MAX_STEP:
+        raise InputError(
+            f"step must lie in [{bd.MIN_STEP!r}, {bd.MAX_STEP!r}]")
     if config.out:
         out = os.path.abspath(config.out)
         if os.path.isdir(out):

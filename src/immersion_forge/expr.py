@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "Expr", "ExprError", "ParseError", "DomainError",
     "const", "var", "call", "neg", "add", "sub", "mul", "div", "powc",
-    "parse", "evaluate", "diff", "to_str", "compile_exprs",
+    "parse", "diff", "to_str", "compile_exprs",
     "FUNCTIONS", "NAMED_CONSTANTS",
 ]
 
@@ -211,12 +211,6 @@ def _apply_pow(b, c):
         raise DomainError(str(exc)) from exc
 
 
-def _apply_div(a, b):
-    if b == 0.0:
-        raise DomainError("division by zero")
-    return a / b
-
-
 def postorder(roots):
     """Unique nodes of the DAG under ``roots``, children before parents."""
     order = []
@@ -233,38 +227,6 @@ def postorder(roots):
                 if child not in seen:
                     stack.append((child, False))
     return order
-
-
-def evaluate(e, env):
-    """Evaluate at a point given as a mapping of coordinate name -> float."""
-    val = {}
-    for node in postorder([e]):
-        if node.kind == "const":
-            v = node.value
-        elif node.kind == "var":
-            try:
-                v = float(env[node.value])
-            except KeyError:
-                raise ExprError(f"unbound coordinate {node.value!r}") from None
-        elif node.kind == "call":
-            v = _apply_unary(node.op, val[id(node.args[0])])
-        else:
-            a = val[id(node.args[0])]
-            b = val[id(node.args[1])]
-            if node.op == "+":
-                v = a + b
-            elif node.op == "-":
-                v = a - b
-            elif node.op == "*":
-                v = a * b
-            elif node.op == "/":
-                v = _apply_div(a, b)
-            else:
-                v = _apply_pow(a, b)
-        if v != v or v in (float("inf"), float("-inf")):
-            raise DomainError(f"non-finite value in {node.op or node.kind}")
-        val[id(node)] = v
-    return val[id(e)]
 
 
 _diff_cache = {}
@@ -564,17 +526,16 @@ _OPS = {
 
 
 def compile_exprs(exprs, coords):
-    """Compile a batch of expressions into one function point -> list[float].
+    """Compile a batch of expressions into one function over many points:
+    points of shape (P, len(coords)) -> values of shape (P, len(exprs)).
 
     The function runs an instruction tape that evaluates each unique DAG
-    node exactly once, every instruction a numpy ufunc.  Its ``batch``
-    attribute runs the tape on many points at once: points of shape
-    (P, len(coords)) -> values of shape (P, len(exprs)); the function is
-    the batch of one point.  Row j depends only on points[j], not on the
-    batch around it, and each value is within 4 ulp of the exact value of
-    its op on its operands (checked against mpmath).  Both raise
-    DomainError naming the first point where a value leaves the domain,
-    overflows or is not finite.
+    node exactly once, every instruction a numpy ufunc on a column of the
+    P points; a single point is a batch of one.  Row j depends only on
+    points[j], not on the batch around it, and each value is within 4 ulp
+    of the exact value of its op on its operands (checked against mpmath).
+    It raises DomainError naming the first point where a value leaves the
+    domain, overflows or is not finite.
     """
     exprs = list(exprs)
     n = len(coords)
@@ -648,11 +609,7 @@ def compile_exprs(exprs, coords):
             _raise_first_fault(points, vals, faults)
         return vals
 
-    def compiled(point):
-        return batch([point])[0].tolist()
-
-    compiled.batch = batch
-    return compiled
+    return batch
 
 
 def _raise_first_fault(points, vals, faults):

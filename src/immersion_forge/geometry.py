@@ -9,8 +9,8 @@ Index conventions used throughout the package:
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class Chart:
                 raise GeometryError("empty domain box interval")
             if not lo < p < hi:
                 raise GeometryError("base point must be interior to the box")
+            if not all(map(math.isfinite, (lo, hi, p, hi - lo))):
+                raise GeometryError("box bounds, box widths and base point "
+                                    "must be finite")
 
     @property
     def n(self):
@@ -80,15 +83,6 @@ class Chart:
         return np.stack(mesh, -1).reshape(-1, self.n)
 
 
-def expr_matrix(rows, coords):
-    """Parse a nested list of expression strings into an object array."""
-    arr = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, text in enumerate(row):
-            arr[i, j] = text if isinstance(text, ex.Expr) else ex.parse(text, coords)
-    return arr
-
-
 def derivatives(arr, coords):
     """d[p, ...] = d_p arr[...] for each coordinate name in ``coords``."""
     arr = np.asarray(arr, dtype=object)
@@ -110,7 +104,7 @@ def compile_fields(fields, coords):
     fn = ex.compile_exprs([e for _, arr in blocks for e in arr.ravel()], coords)
 
     def evaluate(points):
-        vals = fn.batch(points)
+        vals = fn(points)
         out = {}
         pos = 0
         for name, arr in blocks:
@@ -165,30 +159,6 @@ class PointCalculus:
     gamma: np.ndarray    # gamma[m, i, j]
     dgamma: np.ndarray   # dgamma[p, m, i, j] = d_p Gamma^m_ij
     riem: np.ndarray     # riem[l, i, j, k]
-
-
-class MetricField:
-    """Symmetric positive-definite matrix of expressions over a chart."""
-
-    def __init__(self, chart, g):
-        self.chart = chart
-        self.g = np.asarray(g, dtype=object)
-        n = chart.n
-        if self.g.shape != (n, n):
-            raise GeometryError("metric must be n x n")
-
-    @cached_property
-    def _evaluator(self):
-        coords = self.chart.coords
-        dg = derivatives(self.g, coords)
-        return compile_fields(
-            [("g", self.g), ("dg", dg), ("ddg", derivatives(dg, coords))],
-            coords)
-
-    def calculus_at(self, point):
-        v = self._evaluator([point])
-        return point_of(calculus_from_values(
-            [tuple(point)], v["g"], v["dg"], v["ddg"]), 0)
 
 
 def definite_points(g):

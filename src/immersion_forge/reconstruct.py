@@ -92,33 +92,6 @@ def synthesize_frame(ev, k):
     return np.column_stack(cols)
 
 
-def randomize_frame(E0, k, rng):
-    """Apply a random block isometry: O(k+1) on the +1 block and a
-    rotation-plus-boost in O(n-k+1, 1) on the -1 block."""
-    N = E0.shape[0]
-    n = N - 3
-    sphere = k + 1
-    hyp = n - k + 2
-
-    def rotation(m):
-        M = rng.standard_normal((m, m))
-        Q, R = np.linalg.qr(M)
-        return Q * np.sign(np.diag(R))
-
-    blk = np.zeros((N, N))
-    blk[:sphere, :sphere] = rotation(sphere)
-    # O(hyp-1, 1) factor: spacelike rotation followed by a boost in the
-    # plane of the last spacelike axis and the timelike axis
-    B = np.eye(hyp)
-    B[:hyp - 1, :hyp - 1] = rotation(hyp - 1)
-    t = rng.uniform(-0.5, 0.5)
-    boost = np.eye(hyp)
-    boost[hyp - 2, hyp - 2] = boost[hyp - 1, hyp - 1] = np.cosh(t)
-    boost[hyp - 2, hyp - 1] = boost[hyp - 1, hyp - 2] = np.sinh(t)
-    blk[sphere:, sphere:] = boost @ B
-    return E0 @ blk
-
-
 class Immersion:
     """Transport-based evaluation of the reconstructed immersion.
 
@@ -129,6 +102,9 @@ class Immersion:
 
     def __init__(self, spec, k=None, base=None, step=bd.DEFAULT_STEP,
                  base_frame=None):
+        error = bd.step_error(spec.chart.box, step)
+        if error is not None:
+            raise ReconstructionError(error)
         self.spec = spec
         self.base = tuple(base) if base is not None else spec.chart.base_point
         if not spec.chart.contains(self.base):

@@ -18,8 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bundle as bd
-from . import expr as ex
 from . import geometry as geo
 from .geometry import SingularMetricError
 
@@ -86,20 +84,6 @@ class StructureSpec:
     @property
     def n(self):
         return self.chart.n
-
-    @classmethod
-    def from_strings(cls, chart, g, S, f, U, lam, declared_k=None):
-        coords = chart.coords
-        return cls(
-            chart,
-            geo.expr_matrix(g, coords),
-            geo.expr_matrix(S, coords),
-            geo.expr_matrix(f, coords),
-            np.array([ex.parse(t, coords) if not isinstance(t, ex.Expr) else t
-                      for t in U], dtype=object),
-            ex.parse(lam, coords) if not isinstance(lam, ex.Expr) else lam,
-            declared_k,
-        )
 
     @cached_property
     def _full_evaluator(self):
@@ -272,21 +256,6 @@ def determine_k(spec, point, ev=None, tol=1e-8):
         raise StructureError(
             f"k mismatch: determined {k}, declared {spec.declared_k}")
     return k
-
-
-def eigen_multiplicity_k(ev, tol=1e-6):
-    """Independent route to k: +1 eigenvalue count of F on span(TM, xi),
-    whose eigenvalues must lie within ``tol`` of +/-1."""
-    m = ev.S.shape[0] + 1
-    V = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)[:m, :m]
-    gram = bd.assemble_gram(ev.g)[:m, :m]
-    L = np.linalg.cholesky(gram)
-    M = L.T @ V @ np.linalg.inv(L.T)
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    plus = int(np.sum(w > 0.0))
-    if np.any(np.abs(np.abs(w) - 1.0) > tol):
-        raise StructureError(f"F eigenvalues not +/-1: {w}")
-    return plus
 
 
 def point_residuals(ev):

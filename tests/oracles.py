@@ -1,7 +1,7 @@
 """Per-point reference versions of the chart grid, of the admission
 checks, of the reconstruction's sample read-off, of the theorem checks
-and of the congruence solver, and per-point residuals of the bundle
-connection.
+and of the congruence solver, per-point residuals of the bundle
+connection, and the helpers that only the tests run.
 
 The admission checks are the triple loops the batched checks in
 ``structure`` replaced: one point at a time, one basis vector, pair or
@@ -10,11 +10,32 @@ per-sample loops the array expressions over a ``reconstruct.Samples``
 record replaced, with the model's inner product and factor positions
 written out for one point.  The tests compare the batched code against
 them, and compare each batched evaluation against itself on SUB_BATCHES.
+
+The test-only helpers are references that no command runs:
+
+* ``evaluate``: an expression at one point, a node at a time in Python
+  floats, against which the compiled tapes are checked;
+* ``expr_matrix`` and ``structure_from_strings``: fields from expression
+  strings; ``MetricField.calculus_at``: the metric calculus at one point;
+* ``eigen_multiplicity_k``: k from the +1 eigenspace of F, independent of
+  the trace identity;
+* ``transport``, ``gram_drift``, ``rectangle_loop`` and
+  ``holonomy_defect``: transport along polylines and closed loops;
+* ``randomize_frame``: a random block isometry of an adapted base frame,
+  for the uniqueness clause;
+* ``require_tangent``, ``model_wedge``, ``ambient_connection`` and
+  ``ambient_curvature``: the connection and curvature of the model
+  S^k x H^(n-k+1) applied to tangent vectors at one point.
 """
+
+from functools import cached_property
 
 import numpy as np
 
+from immersion_forge import ambient as am
 from immersion_forge import bundle as bd
+from immersion_forge import expr as ex
+from immersion_forge import geometry as geo
 from immersion_forge import structure as st
 from immersion_forge.ambient import AmbientModel, NotOnModelError
 from immersion_forge.geometry import GRID_MARGIN, SingularMetricError
@@ -416,3 +437,245 @@ def congruence(samples1, samples2, k):
             sheet_ok = False
     return {"matrix": phi, "residuals": np.array(residuals), "sup": sup,
             "preserves_sheet": sheet_ok}
+
+
+# ---------------------------------------------------------------------------
+# scalar expression evaluation, one point at a time
+
+
+def evaluate(e, env):
+    """Evaluate at a point given as a mapping of coordinate name -> float."""
+    val = {}
+    for node in ex.postorder([e]):
+        if node.kind == "const":
+            v = node.value
+        elif node.kind == "var":
+            try:
+                v = float(env[node.value])
+            except KeyError:
+                raise ex.ExprError(
+                    f"unbound coordinate {node.value!r}") from None
+        elif node.kind == "call":
+            v = ex._apply_unary(node.op, val[id(node.args[0])])
+        else:
+            a = val[id(node.args[0])]
+            b = val[id(node.args[1])]
+            if node.op == "+":
+                v = a + b
+            elif node.op == "-":
+                v = a - b
+            elif node.op == "*":
+                v = a * b
+            elif node.op == "/":
+                v = _apply_div(a, b)
+            else:
+                v = ex._apply_pow(a, b)
+        if v != v or v in (float("inf"), float("-inf")):
+            raise ex.DomainError(f"non-finite value in {node.op or node.kind}")
+        val[id(node)] = v
+    return val[id(e)]
+
+
+def _apply_div(a, b):
+    if b == 0.0:
+        raise ex.DomainError("division by zero")
+    return a / b
+
+
+# ---------------------------------------------------------------------------
+# fields from expression strings, and the metric calculus at one point
+
+
+def expr_matrix(rows, coords):
+    """Parse a nested list of expression strings into an object array."""
+    arr = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        for j, text in enumerate(row):
+            arr[i, j] = (text if isinstance(text, ex.Expr)
+                         else ex.parse(text, coords))
+    return arr
+
+
+def structure_from_strings(chart, g, S, f, U, lam, declared_k=None):
+    """StructureSpec from expression strings (or Exprs) over the chart."""
+    coords = chart.coords
+    return st.StructureSpec(
+        chart,
+        expr_matrix(g, coords),
+        expr_matrix(S, coords),
+        expr_matrix(f, coords),
+        np.array([ex.parse(t, coords) if not isinstance(t, ex.Expr) else t
+                  for t in U], dtype=object),
+        ex.parse(lam, coords) if not isinstance(lam, ex.Expr) else lam,
+        declared_k,
+    )
+
+
+class MetricField:
+    """Symmetric positive-definite matrix of expressions over a chart."""
+
+    def __init__(self, chart, g):
+        self.chart = chart
+        self.g = np.asarray(g, dtype=object)
+        n = chart.n
+        if self.g.shape != (n, n):
+            raise geo.GeometryError("metric must be n x n")
+
+    @cached_property
+    def _evaluator(self):
+        coords = self.chart.coords
+        dg = geo.derivatives(self.g, coords)
+        return geo.compile_fields(
+            [("g", self.g), ("dg", dg), ("ddg", geo.derivatives(dg, coords))],
+            coords)
+
+    def calculus_at(self, point):
+        v = self._evaluator([point])
+        return geo.point_of(geo.calculus_from_values(
+            [tuple(point)], v["g"], v["dg"], v["ddg"]), 0)
+
+
+def eigen_multiplicity_k(ev, tol=1e-6):
+    """Independent route to k: +1 eigenvalue count of F on span(TM, xi),
+    whose eigenvalues must lie within ``tol`` of +/-1."""
+    m = ev.S.shape[0] + 1
+    V = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)[:m, :m]
+    gram = bd.assemble_gram(ev.g)[:m, :m]
+    L = np.linalg.cholesky(gram)
+    M = L.T @ V @ np.linalg.inv(L.T)
+    w = np.linalg.eigvalsh(0.5 * (M + M.T))
+    plus = int(np.sum(w > 0.0))
+    if np.any(np.abs(np.abs(w) - 1.0) > tol):
+        raise st.StructureError(f"F eigenvalues not +/-1: {w}")
+    return plus
+
+
+# ---------------------------------------------------------------------------
+# transport along polylines, loops and holonomy
+
+
+class BundleError(Exception):
+    pass
+
+
+def gram(conn, point):
+    g, *_ = conn.spec.connection_data_at(point)
+    return bd.assemble_gram(g)
+
+
+def transport(conn, waypoints, M=None, step=bd.DEFAULT_STEP):
+    """Transport along a polyline of waypoints (chart points)."""
+    waypoints = [np.asarray(p, dtype=float) for p in waypoints]
+    if len(waypoints) < 1:
+        raise BundleError("empty path")
+    if M is None:
+        M = np.eye(conn.fiber_dim)
+    segments = list(zip(waypoints[:-1], waypoints[1:]))
+    for (a, b), blocks in zip(segments, conn.block_steps(segments, step)):
+        M = conn.transport_segment(a, b, M, step=step, blocks=blocks)
+    return M
+
+
+def gram_drift(conn, waypoints, step=bd.DEFAULT_STEP):
+    """Deviation of M^T G(end) M from G(start) after transport."""
+    M = transport(conn, waypoints, step=step)
+    G0 = gram(conn, waypoints[0])
+    G1 = gram(conn, waypoints[-1])
+    return float(np.abs(M.T @ G1 @ M - G0).max())
+
+
+def rectangle_loop(p0, p1):
+    """Closed axis-aligned loop through opposite corners p0 and p1 (2D)."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    if len(p0) != 2:
+        raise BundleError("rectangle loops need a 2-dimensional chart")
+    a = (p0[0], p0[1])
+    b = (p1[0], p0[1])
+    c = (p1[0], p1[1])
+    d = (p0[0], p1[1])
+    return [a, b, c, d, a]
+
+
+def holonomy_defect(conn, loop, step=bd.DEFAULT_STEP):
+    """Distance of the loop transport from the identity."""
+    M = transport(conn, loop, step=step)
+    return float(np.abs(M - np.eye(conn.fiber_dim)).max())
+
+
+# ---------------------------------------------------------------------------
+# base frames
+
+
+def randomize_frame(E0, k, rng):
+    """Apply a random block isometry: O(k+1) on the +1 block and a
+    rotation-plus-boost in O(n-k+1, 1) on the -1 block."""
+    N = E0.shape[0]
+    n = N - 3
+    sphere = k + 1
+    hyp = n - k + 2
+
+    def rotation(m):
+        M = rng.standard_normal((m, m))
+        Q, R = np.linalg.qr(M)
+        return Q * np.sign(np.diag(R))
+
+    blk = np.zeros((N, N))
+    blk[:sphere, :sphere] = rotation(sphere)
+    # O(hyp-1, 1) factor: spacelike rotation followed by a boost in the
+    # plane of the last spacelike axis and the timelike axis
+    B = np.eye(hyp)
+    B[:hyp - 1, :hyp - 1] = rotation(hyp - 1)
+    t = rng.uniform(-0.5, 0.5)
+    boost = np.eye(hyp)
+    boost[hyp - 2, hyp - 2] = boost[hyp - 1, hyp - 1] = np.cosh(t)
+    boost[hyp - 2, hyp - 1] = boost[hyp - 1, hyp - 2] = np.sinh(t)
+    blk[sphere:, sphere:] = boost @ B
+    return E0 @ blk
+
+
+# ---------------------------------------------------------------------------
+# connection and curvature of the ambient model at one point
+
+
+class NotTangentError(am.AmbientError):
+    pass
+
+
+def require_tangent(model, x, *vectors, tol=1e-10):
+    if model.on_model_residual(x) > tol:
+        raise am.NotOnModelError(f"point off the model: {x}")
+    for v in vectors:
+        if model.tangency_residual(x, v) > tol:
+            raise NotTangentError(f"vector not tangent at {x}: {v}")
+
+
+def model_wedge(model, X, Y, Z):
+    """(X ^ Y) Z with respect to the induced (Minkowski) metric."""
+    return (model.inner(Y, Z) * np.asarray(X)
+            - model.inner(X, Z) * np.asarray(Y))
+
+
+def ambient_connection(model, x, X, Y, dY, tol=1e-10):
+    """Levi-Civita connection of the model applied to tangent data.
+
+    ``dY`` is the flat (componentwise) directional derivative D_X Y of the
+    tangential extension of Y; the returned vector adds the second
+    fundamental form of the model inside Minkowski space.
+    """
+    x = np.asarray(x, dtype=float)
+    X = np.asarray(X, dtype=float)
+    require_tangent(model, x, X, Y, tol=tol)
+    return np.asarray(dY, dtype=float) + model.connection_correction(x, X, Y)
+
+
+def ambient_curvature(model, x, X, Y, Z, tol=1e-10):
+    """Curvature R(X,Y)Z = (Fhat((X^Y)Z) + (X^Y)(Fhat Z)) / 2 of the model."""
+    x = np.asarray(x, dtype=float)
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    require_tangent(model, x, X, Y, Z, tol=tol)
+    F = model.fhat
+    return 0.5 * (F @ model_wedge(model, X, Y, Z)
+                  + model_wedge(model, X, Y, F @ Z))

@@ -60,13 +60,13 @@ def test_criterion_3_transport_quality(capsys, catalog_structures):
     path = bd.staircase_path(p0, p1)
     length = sum(np.linalg.norm(np.subtract(b, a))
                  for a, b in zip(path[:-1], path[1:]))
-    drift = conn.gram_drift(path) / length
-    M1 = conn.transport(path)
-    M2 = conn.transport([p0, (p0[0], p1[1]), p1])
+    drift = oracles.gram_drift(conn, path) / length
+    M1 = oracles.transport(conn, path)
+    M2 = oracles.transport(conn, [p0, (p0[0], p1[1]), p1])
     indep = float(np.abs(M1 - M2).max())
-    loop = bd.rectangle_loop((-0.5, -0.5), (0.5, 0.5))
+    loop = oracles.rectangle_loop((-0.5, -0.5), (0.5, 0.5))
     steps = [2e-2, 1e-2, 5e-3]
-    defects = [bd.holonomy_defect(conn, loop, step=s) for s in steps]
+    defects = [oracles.holonomy_defect(conn, loop, step=s) for s in steps]
     slope = float(np.log(defects[0] / defects[2]) / np.log(steps[0] / steps[2]))
     ok = drift < 1e-9 and indep < 1e-6 and slope >= 3.0
     report(capsys, 3, "transport quality", ok,
@@ -91,7 +91,7 @@ def test_criterion_5_uniqueness(capsys, catalog_structures, rng):
     _, spec = catalog_structures["diagonal_cylinder"]
     points = spec.chart.grid(3)
     imm1, s1 = rc.immerse(spec, points)
-    E0 = rc.randomize_frame(imm1.base_frame, imm1.k, rng)
+    E0 = oracles.randomize_frame(imm1.base_frame, imm1.k, rng)
     _, s2 = rc.immerse(spec, points, base_frame=E0)
     _, s3 = rc.immerse(spec, points, base=(0.3, 0.25))
     worst_sup = 0.0
@@ -172,10 +172,11 @@ def test_criterion_9_expression_derivatives(capsys, rng):
         for point in _random_points(100, rng):
             env = dict(zip(COORDS, point))
             for axis, c in enumerate(COORDS):
-                exact = ex.evaluate(grads[axis], env)
+                exact = oracles.evaluate(grads[axis], env)
                 env_p = dict(env, **{c: point[axis] + h})
                 env_m = dict(env, **{c: point[axis] - h})
-                fd = (ex.evaluate(e, env_p) - ex.evaluate(e, env_m)) / (2 * h)
+                fd = (oracles.evaluate(e, env_p)
+                      - oracles.evaluate(e, env_m)) / (2 * h)
                 worst = max(worst, abs(fd - exact) / max(1.0, abs(exact)))
     report(capsys, 9, "expression engine", worst < 1e-6,
            f"max relative derivative error {worst:.3e} < 1e-6 "

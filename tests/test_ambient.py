@@ -32,13 +32,13 @@ def test_tangency_enforced():
     model = am.AmbientModel(2, 1)
     x = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
     tangent = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    model.require_tangent(x, tangent)
-    with pytest.raises(am.NotTangentError):
-        model.require_tangent(x, x)
+    oracles.require_tangent(model, x, tangent)
+    with pytest.raises(oracles.NotTangentError):
+        oracles.require_tangent(model, x, x)
     with pytest.raises(am.NotOnModelError):
-        model.require_tangent(2.0 * x, tangent)
-    with pytest.raises(am.NotTangentError):
-        am.ambient_curvature(model, x, x, tangent, tangent)
+        oracles.require_tangent(model, 2.0 * x, tangent)
+    with pytest.raises(oracles.NotTangentError):
+        oracles.ambient_curvature(model, x, x, tangent, tangent)
 
 
 def _model_parametrization():
@@ -62,10 +62,10 @@ def _model_parametrization():
     fn = ex.compile_exprs(flat, chart.coords)
 
     def sample(point):
-        vals = np.array(fn(point))
+        vals = np.array(fn([point])[0])
         return vals[:5], vals[5:].reshape(5, 3)
 
-    return geo.MetricField(chart, g), sample
+    return oracles.MetricField(chart, g), sample
 
 
 def test_ambient_curvature_matches_induced_riemann_tensor():
@@ -80,7 +80,7 @@ def test_ambient_curvature_matches_induced_riemann_tensor():
             for j in range(3):
                 for k in range(3):
                     expected = dy @ calc.riem[:, i, j, k]
-                    got = am.ambient_curvature(
+                    got = oracles.ambient_curvature(
                         model, x, dy[:, i], dy[:, j], dy[:, k])
                     assert np.abs(got - expected).max() < 1e-10
 
@@ -101,8 +101,8 @@ def test_ambient_connection_is_metric_and_tangent():
             bwd[i] -= h
             dY = (sample(tuple(fwd))[1][:, j]
                   - sample(tuple(bwd))[1][:, j]) / (2 * h)
-            out = am.ambient_connection(model, x, dy[:, i], dy[:, j], dY,
-                                        tol=1e-8)
+            out = oracles.ambient_connection(model, x, dy[:, i], dy[:, j],
+                                             dY, tol=1e-8)
             assert model.tangency_residual(x, out) < 1e-8
 
 
@@ -114,10 +114,11 @@ def test_sym_det_and_inverse_match_numpy(rng):
     for m in (1, 2, 3, 4):
         M = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
         rows = [[ex.const(float(v)) for v in row] for row in M]
-        det = ex.evaluate(am.sym_det(rows), {})
+        det = oracles.evaluate(am.sym_det(rows), {})
         assert det == pytest.approx(np.linalg.det(M), rel=1e-10)
         inv = am.sym_inverse(rows)
-        inv_num = np.array([[ex.evaluate(e, {}) for e in row] for row in inv])
+        inv_num = np.array([[oracles.evaluate(e, {}) for e in row]
+                            for row in inv])
         assert np.abs(inv_num - np.linalg.inv(M)).max() < 1e-10
 
 

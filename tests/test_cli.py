@@ -251,6 +251,72 @@ def test_step_floor_and_ceiling_are_accepted():
             ["reconstruct", "catalog:geodesic_slice", "--step", step]))
 
 
+@pytest.mark.parametrize("command", ["check", "reconstruct"])
+@pytest.mark.parametrize("domain", [
+    [[-0.9, float("inf")], [-0.9, 0.9]],        # json reads Infinity
+    [[-1e308, 1e308], [-0.9, 0.9]],             # the width overflows
+])
+def test_non_finite_chart_box_exits_2(capsys, tmp_path, command, domain):
+    path = write_doc(tmp_path, flat_slice_doc(domain=domain))
+    code, out, err = run(capsys, command, path, "--grid", "2")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: bad chart data: box bounds, box widths and base "
+                   "point must be finite\n")
+
+
+def test_box_too_wide_for_step_exits_2_before_transport(capsys, monkeypatch,
+                                                        tmp_path):
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transport started")
+
+    monkeypatch.setattr(bd.ConnectionField, "block_steps", no_transport)
+    path = write_doc(tmp_path, flat_slice_doc(
+        domain=[[-0.9, 1e308], [-1e308, 0.9]]))
+    code, out, err = run(capsys, "reconstruct", path, "--grid", "2",
+                         "--step", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: step 0.05 takes inf RK4 steps")
+    assert err.endswith(f"the cap is {bd.MAX_SIDE_STEPS}\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_side_steps_cap_binds_only_the_commands_that_transport(
+        capsys, monkeypatch, tmp_path, command):
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transport started")
+
+    monkeypatch.setattr(bd.ConnectionField, "block_steps", no_transport)
+    doc = slice_hypersurface_doc()
+    doc["domain"] = [[-10001.0, 10001.0], [-0.9, 0.9]]   # 2e7 steps of 1e-3
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc),
+                         "--grid", "2")
+    if command in ("reconstruct", "roundtrip"):
+        assert code == 2
+        assert out == ""
+        assert err == ("error: step 0.001 takes 2e+07 RK4 steps across the "
+                       "widest side of the chart box; the cap is 10000000\n")
+    else:
+        assert code in (0, 1), err
+        assert err == ""
+
+
+@pytest.mark.parametrize("high,accepted", [(9.1, True), (9.2, False)])
+def test_widest_side_steps_cap(tmp_path, high, accepted):
+    # a side of 10.0 takes 1e7 steps of 1e-6, the cap; 10.1 takes more
+    path = write_doc(tmp_path, flat_slice_doc(domain=[[-0.9, 0.9],
+                                                      [-0.9, high]]))
+    config = cli.build_parser().parse_args(
+        ["reconstruct", path, "--step", "1e-6"])
+    cli.load_checked_input(config)
+    if accepted:
+        cli.load_transport_input(config)
+    else:
+        with pytest.raises(cli.InputError, match="the cap is 10000000"):
+            cli.load_transport_input(config)
+
+
 IMPORT_PROBE = """
 import os, sys
 import immersion_forge as mf

@@ -1,6 +1,9 @@
 """Chart calculus: Christoffels, curvature, covariant derivatives."""
 
+import math
+
 import numpy as np
+import oracles
 import pytest
 from oracles import chart_grid, wedge
 
@@ -20,9 +23,11 @@ def covariant_derivative_operator_field(T, metric, point, direction):
     coords = metric.chart.coords
     dT = geo.derivatives(T, coords[direction:direction + 1])[0]
     env = dict(zip(coords, point))
-    dT_num = np.array([[ex.evaluate(dT[a, b], env) for b in range(T.shape[1])]
+    dT_num = np.array([[oracles.evaluate(dT[a, b], env)
+                        for b in range(T.shape[1])]
                        for a in range(T.shape[0])])
-    T_num = np.array([[ex.evaluate(T[a, b], env) for b in range(T.shape[1])]
+    T_num = np.array([[oracles.evaluate(T[a, b], env)
+                       for b in range(T.shape[1])]
                       for a in range(T.shape[0])])
     i = direction
     return dT_num + calc.gamma[:, i, :] @ T_num - T_num @ calc.gamma[:, i, :]
@@ -30,22 +35,22 @@ def covariant_derivative_operator_field(T, metric, point, direction):
 
 def sphere_metric():
     chart = geo.Chart(("u1", "u2"), ((0.3, 2.8), (-3.0, 3.0)), (0.8, 0.0))
-    g = geo.expr_matrix([["1", "0"], ["0", "sin(u1)^2"]], chart.coords)
-    return geo.MetricField(chart, g)
+    g = oracles.expr_matrix([["1", "0"], ["0", "sin(u1)^2"]], chart.coords)
+    return oracles.MetricField(chart, g)
 
 
 def hyperbolic_metric():
     chart = geo.Chart(("u1", "u2"), ((-2.0, 2.0), (-2.0, 2.0)), (0.3, -0.4))
-    g = geo.expr_matrix([["1", "0"], ["0", "cosh(u1)^2"]], chart.coords)
-    return geo.MetricField(chart, g)
+    g = oracles.expr_matrix([["1", "0"], ["0", "cosh(u1)^2"]], chart.coords)
+    return oracles.MetricField(chart, g)
 
 
 def bumpy_metric():
     chart = geo.Chart(("u1", "u2"), ((-1.0, 1.0), (-1.0, 1.0)), (0.1, 0.2))
-    g = geo.expr_matrix(
+    g = oracles.expr_matrix(
         [["2 + sin(u1)*cos(u2)", "u1*u2/4"],
          ["u1*u2/4", "2 + u1^2/2"]], chart.coords)
-    return geo.MetricField(chart, g)
+    return oracles.MetricField(chart, g)
 
 
 def test_sphere_christoffels_closed_form():
@@ -113,8 +118,8 @@ def test_riemann_first_bianchi():
 
 def test_flat_metric_has_zero_curvature():
     chart = geo.Chart(("u1", "u2"), ((-1, 1), (-1, 1)), (0.0, 0.0))
-    g = geo.expr_matrix([["1", "0"], ["0", "1"]], chart.coords)
-    m = geo.MetricField(chart, g)
+    g = oracles.expr_matrix([["1", "0"], ["0", "1"]], chart.coords)
+    m = oracles.MetricField(chart, g)
     calc = m.calculus_at((0.3, -0.7))
     assert np.abs(calc.riem).max() == 0.0
     assert np.abs(calc.gamma).max() == 0.0
@@ -122,8 +127,8 @@ def test_flat_metric_has_zero_curvature():
 
 def test_singular_metric_rejected():
     chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
-    g = geo.expr_matrix([["u1"]], chart.coords)
-    m = geo.MetricField(chart, g)
+    g = oracles.expr_matrix([["u1"]], chart.coords)
+    m = oracles.MetricField(chart, g)
     with pytest.raises(geo.SingularMetricError):
         m.calculus_at((-0.5,))
 
@@ -139,8 +144,8 @@ def test_covariant_derivative_of_identity_vanishes():
 
 def test_compile_fields_matches_evaluate(rng):
     coords = ("u1", "u2")
-    matrix = geo.expr_matrix([["2 + sin(u1)*cos(u2)", "u1*u2/4"],
-                              ["u1*u2/4", "log(2 + u1^2)"]], coords)
+    matrix = oracles.expr_matrix([["2 + sin(u1)*cos(u2)", "u1*u2/4"],
+                                  ["u1*u2/4", "log(2 + u1^2)"]], coords)
     derivative = geo.derivatives(matrix, coords)
     for p, name in enumerate(coords):
         for idx in np.ndindex(matrix.shape):
@@ -164,7 +169,7 @@ def test_compile_fields_matches_evaluate(rng):
                 env = dict(zip(coords, point))
                 for idx in np.ndindex(arr.shape):
                     assert out[name][(j, *idx)] == pytest.approx(
-                        ex.evaluate(arr[idx], env), rel=1e-13, abs=1e-15)
+                        oracles.evaluate(arr[idx], env), rel=1e-13, abs=1e-15)
 
 
 def test_compile_fields_domain_error_names_point():
@@ -238,6 +243,15 @@ class TestChart:
             geo.Chart(("pi",), ((-1.0, 1.0),), (0.0,))
         with pytest.raises(geo.GeometryError):
             geo.Chart(("u1", "u2"), ((-1.0, 1.0),), (0.0,))
+
+    @pytest.mark.parametrize("box,base", [
+        (((-1.0, math.inf),), (0.0,)),          # a bound
+        (((-math.inf, 1.0),), (0.0,)),
+        (((-1e308, 1e308),), (0.0,)),           # the width overflows
+    ])
+    def test_non_finite_box_rejected(self, box, base):
+        with pytest.raises(geo.GeometryError, match="must be finite"):
+            geo.Chart(("u1",), box, base)
 
     def test_contains(self):
         chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))

@@ -1,0 +1,72 @@
+"""The package's surface: its public names, and no code that only tests run."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import immersion_forge
+from immersion_forge import expr as ex
+
+SRC = Path(immersion_forge.__file__).parent
+
+# defined in the package but called from outside it only
+ALLOWED_UNREFERENCED = {
+    "ConnectionField.coefficients",     # wrapped by perfbench/tracer.py
+    "Immersion.sample",                 # wrapped by perfbench/tracer.py
+}
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """(dotted name, node) of each top-level function and class and of each
+    method of a top-level class, dunders left out."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not _is_dunder(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not _is_dunder(item.name)):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(node):
+    """Count of each identifier under ``node``: names, attributes and
+    string constants."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name)
+        else sub.attr if isinstance(sub, ast.Attribute) else sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+        or (isinstance(sub, ast.Constant) and isinstance(sub.value, str)))
+
+
+def test_every_definition_in_src_is_used_by_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))]
+    refs = sum((_references(tree) for tree in trees), Counter())
+    unreferenced = set()
+    for tree in trees:
+        for dotted, node in _definitions(tree):
+            name = node.name
+            # a use inside its own definition (recursion) does not count
+            if refs[name] - _references(node)[name] > 0:
+                continue
+            if "." not in dotted and name in immersion_forge.__all__:
+                continue
+            unreferenced.add(dotted)
+    assert unreferenced == ALLOWED_UNREFERENCED
+
+
+@pytest.mark.parametrize("module", [immersion_forge, ex])
+def test_star_import_resolves_every_public_name(module):
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

@@ -47,6 +47,41 @@ def test_base_point_outside_chart_rejected(catalog_structures):
         rc.Immersion(spec, base=(5.0, 0.0))
 
 
+@pytest.mark.parametrize("step", [-1e-2, 0.0, float("nan"), 1e-300])
+def test_step_out_of_range_rejected(catalog_structures, step):
+    # a negative step used to take no RK4 steps, so every sample had the
+    # base frame, and the validation passed with every residual 0.0
+    _, spec = catalog_structures["geodesic_slice"]
+    with pytest.raises(rc.ReconstructionError, match="step"):
+        rc.validate_theorem(spec, spec.chart.grid(2), step=step)
+    with pytest.raises(rc.ReconstructionError, match="step"):
+        rc.immerse(spec, spec.chart.grid(2), step=step)
+
+
+@pytest.mark.parametrize("box,step,accepted", [
+    (((-0.9, 1e308), (-1e308, 0.9)), 0.05, False),  # int(inf) steps
+    (((-0.9, 0.9), (-0.9, 9.1)), bd.MIN_STEP, True),    # 1e7 steps, the cap
+    (((-0.9, 0.9), (-0.9, 9.2)), bd.MIN_STEP, False),
+])
+def test_steps_across_the_chart_box_are_capped(catalog_structures, box, step,
+                                               accepted):
+    _, spec = catalog_structures["geodesic_slice"]
+    chart = geo.Chart(spec.chart.coords, box, spec.chart.base_point)
+    wide = st.StructureSpec(chart, spec.g, spec.S, spec.f, spec.U, spec.lam)
+    if accepted:
+        assert rc.Immersion(wide, step=step).step == step
+    else:
+        with pytest.raises(rc.ReconstructionError,
+                           match=f"the cap is {bd.MAX_SIDE_STEPS}"):
+            rc.immerse(wide, step=step, grid_density=2)
+
+
+def test_step_bounds_accepted(catalog_structures):
+    _, spec = catalog_structures["geodesic_slice"]
+    for step in (bd.MIN_STEP, bd.MAX_STEP):
+        assert rc.Immersion(spec, step=step).step == step
+
+
 @pytest.mark.parametrize("name,density", [
     ("geodesic_slice", 3),
     ("sphere_slice", 3),
@@ -66,7 +101,7 @@ def test_validate_theorem(name, density, catalog_structures):
 
 def test_validate_refuses_inadmissible():
     # flat metric with f = Id fails the Gauss equation
-    chart_spec = st.StructureSpec.from_strings(
+    chart_spec = oracles.structure_from_strings(
         geo.Chart(("u1", "u2"), ((-0.5, 0.5), (-0.5, 0.5)), (0.0, 0.0)),
         g=[["1", "0"], ["0", "1"]],
         S=[["0", "0"], ["0", "0"]],
@@ -92,7 +127,7 @@ def test_uniqueness_under_frame_shuffle(catalog_structures, rng):
     _, spec = catalog_structures["diagonal_cylinder"]
     points = spec.chart.grid(3)
     imm1, s1 = rc.immerse(spec, points)
-    E0 = rc.randomize_frame(imm1.base_frame, imm1.k, rng)
+    E0 = oracles.randomize_frame(imm1.base_frame, imm1.k, rng)
     _, s2 = rc.immerse(spec, points, base_frame=E0)
     cong = am.solve_congruence(s1, s2, imm1.k)
     assert cong.congruent
@@ -161,8 +196,9 @@ def test_frame_table_matches_uncached_transport(catalog_structures,
     imm = rc.Immersion(spec, step=1e-2)
     samples = imm.samples(points)
     for j, p in enumerate(points):
-        reference = imm.conn.transport(bd.staircase_path(imm.base, p),
-                                       M=imm.base_frame, step=1e-2)
+        reference = oracles.transport(
+            imm.conn, bd.staircase_path(imm.base, p), M=imm.base_frame,
+            step=1e-2)
         assert np.array_equal(imm.frames[tuple(map(float, p))], reference)
         one = imm.sample(p)
         expected = oracles.sample_from_frame(spec, p, reference, imm.k)

@@ -19,7 +19,7 @@ def flat_chart():
 
 def flat_slice_spec(lam="-1"):
     """g = I, S = 0, f = diag(1, -1), U = 0: a totally geodesic product slice."""
-    return st.StructureSpec.from_strings(
+    return oracles.structure_from_strings(
         flat_chart(),
         g=[["1", "0"], ["0", "1"]],
         S=[["0", "0"], ["0", "0"]],
@@ -57,7 +57,7 @@ def test_perturbed_lambda_rejected():
 
 
 def test_perturbed_f_breaks_algebraic_identities():
-    spec = st.StructureSpec.from_strings(
+    spec = oracles.structure_from_strings(
         flat_chart(),
         g=[["1", "0"], ["0", "1"]],
         S=[["0", "0"], ["0", "0"]],
@@ -72,7 +72,7 @@ def test_perturbed_f_breaks_algebraic_identities():
 
 def test_gauss_violation_detected():
     # flat metric but f = Id demands constant curvature +1
-    spec = st.StructureSpec.from_strings(
+    spec = oracles.structure_from_strings(
         flat_chart(),
         g=[["1", "0"], ["0", "1"]],
         S=[["0", "0"], ["0", "0"]],
@@ -88,7 +88,7 @@ def test_gauss_violation_detected():
 def test_f_identity_excluded_even_when_equations_hold():
     # round sphere with f = Id satisfies every equation but is excluded
     chart = geo.Chart(("u1", "u2"), ((0.4, 2.6), (-1.0, 1.0)), (1.0, 0.0))
-    spec = st.StructureSpec.from_strings(
+    spec = oracles.structure_from_strings(
         chart,
         g=[["1", "0"], ["0", "sin(u1)^2"]],
         S=[["0", "0"], ["0", "0"]],
@@ -136,7 +136,7 @@ def test_trace_identity_and_k(name, catalog_structures):
         assert st.trace_invariant(ev) == pytest.approx(target, abs=1e-10)
         assert st.determine_k(spec, point, ev) == k
         # independent route: +1 eigenvalue multiplicity of F on span(TM, xi)
-        assert st.eigen_multiplicity_k(ev) == k
+        assert oracles.eigen_multiplicity_k(ev) == k
 
 
 # entries whose f is far from 0, so scaling it moves the eigenvalues off +/-1
@@ -147,8 +147,8 @@ def test_eigen_multiplicity_k_reads_its_tolerance(name, catalog_structures):
     ev = spec.eval_at(spec.chart.base_point)
     off = dataclasses.replace(ev, f=ev.f * 1.01)
     with pytest.raises(st.StructureError, match="not \\+/-1"):
-        st.eigen_multiplicity_k(off)
-    assert st.eigen_multiplicity_k(off, tol=0.1) == TRACE_TARGETS[name][1]
+        oracles.eigen_multiplicity_k(off)
+    assert oracles.eigen_multiplicity_k(off, tol=0.1) == TRACE_TARGETS[name][1]
 
 
 def test_declared_k_mismatch_rejected(catalog_structures):
@@ -164,7 +164,7 @@ def test_declared_k_mismatch_rejected(catalog_structures):
 
 def test_singular_grid_points_are_skipped_and_reported():
     chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.5,))
-    spec = st.StructureSpec.from_strings(
+    spec = oracles.structure_from_strings(
         chart, g=[["u1"]], S=[["0"]], f=[["0"]], U=["0"], lam="1")
     report = st.admit(spec, grid_density=4)
     assert not report.admissible
@@ -215,7 +215,7 @@ def test_eval_at_exposes_exact_derivatives(catalog_structures):
 def tilted_spec(g11):
     """A structure far from admissible, with metric entry g11; a g11 that
     is not positive at some grid points makes them singular."""
-    return st.StructureSpec.from_strings(
+    return oracles.structure_from_strings(
         flat_chart(),
         g=[[g11, "u1*u2/10"], ["u1*u2/10", "1 + u2^2"]],
         S=[["0.1*u1", "0.2"], ["0.2", "sin(u2)"]],
