@@ -22,12 +22,12 @@ components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
 validation, 2 malformed input (including a k that is not an integer in
 1..n, repeated coordinate names, a field nested to the wrong depth, a
---base outside the chart, a --grid above 100 000 grid points in all, a
---step outside [1e-06, 0.1], a chart box with a bound, width or base
-coordinate that is not finite, for reconstruct and roundtrip a box whose
-widest side takes more than 10 000 000 steps of --step, an --out that
-cannot be written and a field expression that leaves its domain or
-overflows) or off-model data.
+--tol that is not positive and finite, a --base outside the chart, a
+--grid above 100 000 grid points in all, a --step outside [1e-06, 0.1],
+a chart box with a bound, width or base coordinate that is not finite,
+for reconstruct and roundtrip a box whose widest side takes more than
+10 000 000 steps of --step, an --out that cannot be written and a field
+expression that leaves its domain or overflows) or off-model data.
 """
 
 import argparse
@@ -302,8 +302,7 @@ def cmd_check(config):
     obj = load_checked_input(config)
     grid = obj.chart.grid(config.grid)
     spec = as_structure(obj, grid=grid)
-    tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
-    report = st.admit(spec, grid=grid, tol=tol)
+    report = st.admit(spec, grid=grid, tol=config.tol)
 
     columns = ([(f"res_{key}", val, report.usable)
                 for key, val in report.values.items()]
@@ -316,8 +315,7 @@ def cmd_reconstruct(config):
     obj = load_transport_input(config)
     grid = obj.chart.grid(config.grid)
     spec = as_structure(obj, grid=grid)
-    tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
-    admission = st.admit(spec, grid=grid, tol=tol)
+    admission = st.admit(spec, grid=grid, tol=config.tol)
     if not admission.admissible:
         emit(config, {"admissible": False, "reasons": admission.reasons})
         return 1
@@ -331,8 +329,7 @@ def cmd_extract(config):
     h = as_hypersurface(load_checked_input(config))
     grid = h.chart.grid(config.grid)
     spec = as_structure(h, grid=grid)
-    tol = config.tol if config.tol is not None else st.DEFAULT_TOLERANCE
-    report = st.admit(spec, grid=grid, tol=tol)
+    report = st.admit(spec, grid=grid, tol=config.tol)
     samples = am.hypersurface_samples(h, grid)
     samples.residuals["on_model"] = h.model.on_model_residual(samples.psi)
     emit(config, report.to_dict(), _sample_table(spec.chart, samples))
@@ -350,8 +347,8 @@ def cmd_roundtrip(config):
     _, rebuilt = rc.immerse(spec, grid, base=config.base, step=config.step,
                             k=admission.k)
     reference = am.hypersurface_samples(h, grid)
-    tol = config.tol if config.tol is not None else 1e-6
-    cong = am.solve_congruence(rebuilt, reference, admission.k, tol=tol)
+    cong = am.solve_congruence(rebuilt, reference, admission.k,
+                               tol=config.tol)
     rebuilt.residuals["congruence"] = cong.residuals
     summary = {
         "k": admission.k,
@@ -359,7 +356,7 @@ def cmd_roundtrip(config):
         "block_residual": cong.block_residual,
         "orthogonality_residual": cong.orthogonality_residual,
         "preserves_sheet": cong.preserves_sheet,
-        "tolerance": tol,
+        "tolerance": config.tol,
         "congruent": cong.congruent,
     }
     emit(config, summary, _sample_table(spec.chart, rebuilt))
@@ -370,8 +367,7 @@ def cmd_audit(config):
     h = as_hypersurface(load_checked_input(config))
     grid = h.chart.grid(config.grid)
     h.check_on_model(grid=grid)
-    tol = config.tol if config.tol is not None else 1e-8
-    report = am.audit_equations(h, grid=grid, tol=tol)
+    report = am.audit_equations(h, grid=grid, tol=config.tol)
     emit(config, report.to_dict())
     return 0
 
@@ -399,12 +395,16 @@ def build_parser():
         "roundtrip": "extract, rebuild and compare with the original",
         "audit": "evaluate competing equation variants on ground truth",
     }
+    tolerance = {"check": st.DEFAULT_TOLERANCE,
+                 "reconstruct": st.DEFAULT_TOLERANCE,
+                 "extract": st.DEFAULT_TOLERANCE,
+                 "roundtrip": 1e-6, "audit": 1e-8}
     for name in COMMANDS:
         p = sub.add_parser(name, help=help_text[name])
         p.add_argument("input",
                        help="JSON input file or catalog:NAME reference")
-        p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance (per-command default)")
+        p.add_argument("--tol", type=float, default=tolerance[name],
+                       help="residual tolerance (default %(default)g)")
         p.add_argument("--grid", type=int, default=8,
                        help="grid density per axis (default 8)")
         p.add_argument("--step", type=float, default=bd.DEFAULT_STEP,
@@ -428,8 +428,10 @@ def _point_arg(text):
 
 
 def validate_config(config):
-    if config.tol is not None and not config.tol > 0.0:
+    if not config.tol > 0.0:
         raise InputError("tolerance must be positive")
+    if not np.isfinite(config.tol):
+        raise InputError("tolerance must be finite")
     if config.grid < 2:
         raise InputError("grid density must be >= 2")
     if not bd.MIN_STEP <= config.step <= bd.MAX_STEP:

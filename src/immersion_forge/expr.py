@@ -8,6 +8,11 @@ differentiation compact and lets evaluation memoize over the DAG.
 Differentiation is exact (rule-based), which is what keeps the curvature
 and flatness residual floors near 1e-12; finite differences are only used
 as cross-checks in the test suite.
+
+Per-operator decisions are tables keyed by the DAG's op names: the
+derivative rules, ``_DERIVATIVES``, and ``_OPS``, the compiled tape's op
+table, which constants fold through too, so a folded constant equals the
+tape's value (``+ - * /`` and negation fold in IEEE-identical Python).
 """
 
 import math
@@ -93,7 +98,7 @@ def call(op, a):
     if op not in FUNCTIONS:
         raise ExprError(f"unknown function {op!r}")
     if a.kind == "const":
-        return const(_apply_unary(op, a.value))
+        return const(_fold(op, a.value))
     return _mk("call", op, (a,), None)
 
 
@@ -164,7 +169,7 @@ def div(a, b):
 
 def powc(a, expo):
     """Power with constant exponent.  Non-integer exponents require a > 0
-    at evaluation time (defined via exp(c*log(a)))."""
+    at evaluation time."""
     expo = _coerce(expo)
     if expo.kind != "const":
         raise ExprError("exponent must fold to a constant")
@@ -174,41 +179,8 @@ def powc(a, expo):
     if c == 1.0:
         return a
     if a.kind == "const":
-        return const(_apply_pow(a.value, c))
+        return const(_fold(*_power(c, a.value, c)))
     return _mk("bin", "^", (a, expo), None)
-
-
-def _apply_unary(op, x):
-    try:
-        if op == "neg":
-            return -x
-        if op == "log":
-            if x <= 0.0:
-                raise DomainError(f"log of nonpositive value {x}")
-            return math.log(x)
-        if op == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        return getattr(math, op)(x)
-    except OverflowError as exc:
-        raise DomainError(str(exc)) from exc
-
-
-def _apply_pow(b, c):
-    if float(c).is_integer():
-        if b == 0.0 and c < 0:
-            raise DomainError("zero raised to a negative power")
-        try:
-            return b ** c
-        except OverflowError as exc:
-            raise DomainError(str(exc)) from exc
-    if b <= 0.0:
-        raise DomainError(f"non-integer power of nonpositive base {b}")
-    try:
-        return math.exp(c * math.log(b))
-    except OverflowError as exc:
-        raise DomainError(str(exc)) from exc
 
 
 def postorder(roots):
@@ -229,6 +201,26 @@ def postorder(roots):
     return order
 
 
+# op -> its derivative: (node, operands..., operand derivatives...) -> Expr;
+# the exponent b of a power is a constant
+_DERIVATIVES = {
+    "neg": lambda e, a, da: neg(da),
+    "sin": lambda e, a, da: mul(call("cos", a), da),
+    "cos": lambda e, a, da: neg(mul(call("sin", a), da)),
+    "tan": lambda e, a, da: div(da, powc(call("cos", a), const(2))),
+    "sinh": lambda e, a, da: mul(call("cosh", a), da),
+    "cosh": lambda e, a, da: mul(call("sinh", a), da),
+    "tanh": lambda e, a, da: div(da, powc(call("cosh", a), const(2))),
+    "exp": lambda e, a, da: mul(e, da),
+    "log": lambda e, a, da: div(da, a),
+    "sqrt": lambda e, a, da: div(da, mul(const(2), e)),
+    "+": lambda e, a, b, da, db: add(da, db),
+    "-": lambda e, a, b, da, db: sub(da, db),
+    "*": lambda e, a, b, da, db: add(mul(da, b), mul(a, db)),
+    "/": lambda e, a, b, da, db: div(sub(mul(da, b), mul(a, db)), mul(b, b)),
+    "^": lambda e, a, b, da, db: mul(mul(b, powc(a, b.value - 1.0)), da),
+}
+
 _diff_cache = {}
 
 
@@ -247,49 +239,10 @@ def diff(e, name):
                          if (child, name) not in _diff_cache)
             continue
         d = [_diff_cache[child, name] for child in node.args]
-        if node.kind == "const":
-            res = ZERO
-        elif node.kind == "var":
-            res = ONE if node.value == name else ZERO
-        elif node.kind == "call":
-            a = node.args[0]
-            da, = d
-            op = node.op
-            if op == "neg":
-                res = neg(da)
-            elif op == "sin":
-                res = mul(call("cos", a), da)
-            elif op == "cos":
-                res = neg(mul(call("sin", a), da))
-            elif op == "tan":
-                res = div(da, powc(call("cos", a), const(2)))
-            elif op == "sinh":
-                res = mul(call("cosh", a), da)
-            elif op == "cosh":
-                res = mul(call("sinh", a), da)
-            elif op == "tanh":
-                res = div(da, powc(call("cosh", a), const(2)))
-            elif op == "exp":
-                res = mul(node, da)
-            elif op == "log":
-                res = div(da, a)
-            else:  # sqrt
-                res = div(da, mul(const(2), node))
+        if node.args:
+            res = _DERIVATIVES[node.op](node, *node.args, *d)
         else:
-            a, b = node.args
-            da, db = d
-            op = node.op
-            if op == "+":
-                res = add(da, db)
-            elif op == "-":
-                res = sub(da, db)
-            elif op == "*":
-                res = add(mul(da, b), mul(a, db))
-            elif op == "/":
-                res = div(sub(mul(da, b), mul(a, db)), mul(b, b))
-            else:  # ^ with constant exponent
-                c = b.value
-                res = mul(mul(b, powc(a, const(c - 1.0))), da)
+            res = ONE if node.kind == "var" and node.value == name else ZERO
         _diff_cache[key] = res
     return _diff_cache[e, name]
 
@@ -451,7 +404,10 @@ class _Parser:
                 self.next()
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return call(val, arg)
+                try:
+                    return call(val, arg)
+                except ExprError as exc:
+                    raise ParseError(str(exc), off) from exc
             if val in self.coords:
                 return var(val)
             if val in NAMED_CONSTANTS:
@@ -525,6 +481,29 @@ _OPS = {
 }
 
 
+def _power(c, base, expo):
+    """The tape op of base ^ expo, expo the constant c, and its operands."""
+    if c == 2.0:
+        return "*", base, base
+    if float(c).is_integer():
+        return ("ipow" if 0 <= c <= 64 else "^int"), base, expo
+    return "^", base, expo
+
+
+def _fold(op, *values):
+    """``op`` on constant operands by the tape's entry: checks, ufunc."""
+    fn, *op_checks = _OPS[op]
+    rows = [np.array([v]) for v in values]
+    with np.errstate(all="ignore"):
+        for test, message in op_checks:
+            if test(*rows)[0]:
+                raise DomainError(message.format(float(values[0])))
+        value = float(fn(*rows)[0])
+    if not math.isfinite(value):
+        raise DomainError("non-finite value")
+    return value
+
+
 def compile_exprs(exprs, coords):
     """Compile a batch of expressions into one function over many points:
     points of shape (P, len(coords)) -> values of shape (P, len(exprs)).
@@ -572,11 +551,7 @@ def compile_exprs(exprs, coords):
         size = max(size, out + 1)
         op = node.op
         if op == "^":
-            c = args[1].value
-            if c == 2.0:
-                op, b = "*", a
-            elif float(c).is_integer():
-                op = "ipow" if 0 <= c <= 64 else "^int"
+            op, a, b = _power(args[1].value, a, b)
         fn, *op_checks = _OPS[op]
         for test, message in op_checks:
             steps.append((_fault(test), size, a, b))

@@ -14,7 +14,9 @@ them, and compare each batched evaluation against itself on SUB_BATCHES.
 The test-only helpers are references that no command runs:
 
 * ``evaluate``: an expression at one point, a node at a time in Python
-  floats, against which the compiled tapes are checked;
+  floats, against which the compiled tapes are checked; its functions and
+  powers are ``_apply_unary`` and ``_apply_pow``, the ``math`` reference
+  for the numpy op table that the tapes run and constants fold through;
 * ``expr_matrix`` and ``structure_from_strings``: fields from expression
   strings; ``MetricField.calculus_at``: the metric calculus at one point;
 * ``eigen_multiplicity_k``: k from the +1 eigenspace of F, independent of
@@ -28,6 +30,7 @@ The test-only helpers are references that no command runs:
   S^k x H^(n-k+1) applied to tangent vectors at one point.
 """
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +41,7 @@ from immersion_forge import expr as ex
 from immersion_forge import geometry as geo
 from immersion_forge import structure as st
 from immersion_forge.ambient import AmbientModel, NotOnModelError
+from immersion_forge.expr import DomainError
 from immersion_forge.geometry import GRID_MARGIN, SingularMetricError
 
 # sub-batches at unaligned offsets and of odd lengths, up to row 1 032: a
@@ -456,7 +460,7 @@ def evaluate(e, env):
                 raise ex.ExprError(
                     f"unbound coordinate {node.value!r}") from None
         elif node.kind == "call":
-            v = ex._apply_unary(node.op, val[id(node.args[0])])
+            v = _apply_unary(node.op, val[id(node.args[0])])
         else:
             a = val[id(node.args[0])]
             b = val[id(node.args[1])]
@@ -469,7 +473,7 @@ def evaluate(e, env):
             elif node.op == "/":
                 v = _apply_div(a, b)
             else:
-                v = ex._apply_pow(a, b)
+                v = _apply_pow(a, b)
         if v != v or v in (float("inf"), float("-inf")):
             raise ex.DomainError(f"non-finite value in {node.op or node.kind}")
         val[id(node)] = v
@@ -480,6 +484,39 @@ def _apply_div(a, b):
     if b == 0.0:
         raise ex.DomainError("division by zero")
     return a / b
+
+
+def _apply_unary(op, x):
+    try:
+        if op == "neg":
+            return -x
+        if op == "log":
+            if x <= 0.0:
+                raise DomainError(f"log of nonpositive value {x}")
+            return math.log(x)
+        if op == "sqrt":
+            if x < 0.0:
+                raise DomainError(f"sqrt of negative value {x}")
+            return math.sqrt(x)
+        return getattr(math, op)(x)
+    except OverflowError as exc:
+        raise DomainError(str(exc)) from exc
+
+
+def _apply_pow(b, c):
+    if float(c).is_integer():
+        if b == 0.0 and c < 0:
+            raise DomainError("zero raised to a negative power")
+        try:
+            return b ** c
+        except OverflowError as exc:
+            raise DomainError(str(exc)) from exc
+    if b <= 0.0:
+        raise DomainError(f"non-integer power of nonpositive base {b}")
+    try:
+        return math.exp(c * math.log(b))
+    except OverflowError as exc:
+        raise DomainError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

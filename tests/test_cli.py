@@ -179,6 +179,25 @@ def test_expression_overflow_exits_2(capsys, tmp_path):
     assert "at (-0.882, -0.882)" in err
 
 
+@pytest.mark.parametrize("lam,offset", [
+    ("-1 + sin(1e999)*u1", 5),      # non-finite
+    ("-1 + exp(1000)*u1", 5),       # overflow
+    ("-1 + log(0)*u1", 5),          # out of the domain
+    ("-1 + 2^5000*u1", 6),
+])
+def test_constant_fold_failure_names_field_and_offset(capsys, tmp_path, lam,
+                                                      offset):
+    doc = flat_slice_doc()
+    doc["fields"]["lambda"] = lam
+    code, out, err = run(capsys, "check", write_doc(tmp_path, doc),
+                         "--grid", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad expression in lambda: ")
+    assert err.endswith(f"(at byte offset {offset})\n")
+    assert "Traceback" not in err
+
+
 COMMANDS = ["check", "reconstruct", "extract", "roundtrip", "audit"]
 
 
@@ -228,6 +247,27 @@ def test_invalid_json_exits_2(capsys, tmp_path):
 def test_config_invariants_exit_2(capsys, flags):
     code, _, err = run(capsys, "check", "catalog:geodesic_slice", *flags)
     assert code == 2
+
+
+@pytest.mark.parametrize("command,source", [
+    ("check", None), ("roundtrip", "catalog:geodesic_slice"),
+    ("audit", "catalog:geodesic_slice")])
+@pytest.mark.parametrize("tol,message", [
+    ("inf", "tolerance must be finite"),
+    ("nan", "tolerance must be positive"),
+    ("0", "tolerance must be positive"),
+])
+def test_tolerance_must_be_positive_and_finite(capsys, tmp_path, command,
+                                               source, tol, message):
+    if source is None:                  # the benchmark's inadmissible control
+        doc = flat_slice_doc()
+        doc["fields"]["lambda"] = "-1 + 0.015*u1"
+        source = write_doc(tmp_path, doc)
+    code, out, err = run(capsys, command, source, "--grid", "2",
+                         "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])

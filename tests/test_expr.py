@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
+from immersion_forge import ambient as am
 from immersion_forge import expr as ex
 from oracles import SUB_BATCHES
 
@@ -338,3 +339,91 @@ def test_first_failing_row_is_named_whatever_op_fails_first():
     with pytest.raises(ex.DomainError) as err:
         fn(points[2:])
     assert str(err.value) == "log of nonpositive value -0.5 at (-0.5,)"
+
+
+# the constants include ones whose math and numpy values differ in the last
+# bit (exp(1.963), tanh(1.187), ...): a folded constant is the tape's value
+FOLD_CASES = [(f"{name}(u1)", c) for name, c in [
+    ("sin", 0.7), ("cos", 0.7), ("tan", 1.062), ("sinh", 1.75),
+    ("cosh", 1.411), ("tanh", 1.187), ("exp", 1.963), ("log", 0.917),
+    ("sqrt", 2.0)]] + [
+    ("u1^0.99", 0.73),                          # ^
+    ("u1^-3", 0.73), ("u1^65", 1.01),           # ^int
+    ("u1^7", 0.73),                             # ipow
+    ("u1^2", 0.73),                             # *
+]
+
+
+@pytest.mark.parametrize("text,c", FOLD_CASES)
+def test_folded_constant_equals_the_tape(text, c):
+    folded = ex.parse(text.replace("u1", repr(c)), ())
+    assert folded.kind == "const"
+    fn = ex.compile_exprs([ex.sub(folded, ex.parse(text, ("u1",)))], ("u1",))
+    assert fn([(c,)])[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("build,value", [
+    (lambda x: ex.call("log", x), -0.5),
+    (lambda x: ex.call("sqrt", x), -1.0),
+    (lambda x: ex.call("exp", x), 1000.0),
+    (lambda x: ex.call("sinh", x), -1000.0),
+    (lambda x: ex.call("cosh", x), 1000.0),
+    (lambda x: ex.call("sin", x), math.inf),    # non-finite result
+    (lambda x: ex.powc(x, 1.5), -0.5),
+    (lambda x: ex.powc(x, 1.5), 1e300),
+    (lambda x: ex.powc(x, -1), 0.0),
+    (lambda x: ex.powc(x, 65), 1e10),
+    (lambda x: ex.powc(x, 3), 1e103),
+    (lambda x: ex.powc(x, 2), 1e200),
+], ids=["log", "sqrt", "exp", "sinh", "cosh", "sin-inf", "^-base", "^-range",
+        "^int-zero", "^int-range", "ipow", "squared"])
+def test_failing_fold_raises_the_tape_message(build, value):
+    fn = ex.compile_exprs([build(ex.var("u1"))], ("u1",))
+    with pytest.raises(ex.DomainError) as tape:
+        fn([(value,)])
+    with pytest.raises(ex.DomainError) as fold:
+        build(ex.const(value))
+    assert str(tape.value) == f"{fold.value} at ({value},)"
+
+
+def test_every_dag_op_has_a_derivative_rule_and_a_tape_entry():
+    dag_ops = {"neg", *ex.FUNCTIONS, "+", "-", "*", "/", "^"}
+    assert set(ex._DERIVATIVES) == dag_ops
+    # the tape's extra entries are its forms of a constant power
+    assert set(ex._OPS) == dag_ops | {"ipow", "^int"}
+
+
+# one expression per DAG op, smooth on [-1.4, 1.4]^2
+OP_CASES = ["-(u1*u2)", "u1 + u2^3", "u1 - sin(u2)", "u1*u2", "u1/(2 + u2)",
+            "(2 + u1*u2)^1.5", "(2 + u1)^-3", "(u1 + u2)^4"] + [
+    f"{name}(0.6 + u1*u2/4)" for name in ex.FUNCTIONS]
+
+
+def _sympy_oracle_cases():
+    cases = [pytest.param(text, COORDS, [(-1.4, 1.4)] * 2, id=text)
+             for text in OP_CASES + CORPUS]
+    for name in am.catalog_names():
+        h = am.catalog_entry(name)
+        cases += [pytest.param(ex.to_str(x), h.chart.coords, h.chart.box,
+                               id=f"{name}:x{a}") for a, x in enumerate(h.x)]
+    return cases
+
+
+@pytest.mark.parametrize("text,coords,box", _sympy_oracle_cases())
+def test_derivative_matches_sympy(text, coords, box, rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (convert_xor, parse_expr,
+                                            standard_transformations)
+    symbols = [sympy.Symbol(c) for c in coords]
+    exact = parse_expr(text, local_dict={"e": sympy.E,
+                                         **dict(zip(coords, symbols))},
+                       transformations=standard_transformations
+                       + (convert_xor,))
+    e = ex.parse(text, coords)
+    fn = ex.compile_exprs([ex.diff(e, c) for c in coords], coords)
+    points = [tuple(rng.uniform(lo, hi) for lo, hi in box) for _ in range(5)]
+    for point, got in zip(points, fn(points)):
+        at = dict(zip(symbols, point))
+        want = [float(sympy.diff(exact, s).evalf(30, subs=at))
+                for s in symbols]
+        assert list(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
