@@ -24,9 +24,11 @@ MIN_STEP = 1e-6
 MAX_STEP = 0.1
 # most RK4 steps across the widest side of a chart box, that side / step.
 # At the cap one segment's entry of ``block_steps`` holds 78 125 block
-# propagators, about 94 MB at n = 3 (1.2 kB a block); a run keeps one such
-# entry per staircase segment at once, so the cap bounds a segment, not a
-# run.  The catalog's widest side at MIN_STEP takes 2e6 steps.
+# propagators, about 94 MB at n = 3 (1.2 kB a block).  ``block_steps``
+# yields a segment's blocks as soon as they are formed, so a caller that
+# transports each segment as it comes holds about one segment's blocks at a
+# time, and the cap bounds a run too.  The catalog's widest side at MIN_STEP
+# takes 2e6 steps.
 MAX_SIDE_STEPS = 10_000_000
 # RK4 steps per block propagator
 STAGE_BLOCK = 128
@@ -123,7 +125,8 @@ class ConnectionField:
     # -- transport ----------------------------------------------------------
 
     def block_steps(self, segments, step=DEFAULT_STEP):
-        """Block steps of each of ``segments``, (p0, p1) pairs, in order.
+        """Yield the block steps of each of ``segments``, (p0, p1) pairs, in
+        order, a segment's list as soon as its last block is formed.
 
         A segment takes ceil(length / step) RK4 steps of h = 1 / steps, cut
         into blocks of at most STAGE_BLOCK steps from its own start; each
@@ -137,12 +140,12 @@ class ConnectionField:
                   for steps in [int(np.ceil(np.linalg.norm(
                       np.subtract(p1, p0, dtype=float)) / step))]
                   for first in range(0, steps, STAGE_BLOCK)]
-        out = [[] for _ in segments]
         seg, first, steps, count = np.array(blocks, dtype=int).reshape(-1, 4).T
         p0 = np.array([start for start, _ in segments], dtype=float)[seg]
         delta = np.array([end for _, end in segments], dtype=float)[seg] - p0
         ends = np.cumsum(2 * count + 1)
         B = np.empty((0, self.fiber_dim, self.fiber_dim))
+        yielded, out = 0, []            # segments yielded, blocks of seg[k]
         for k, size in enumerate(2 * count + 1):
             while len(B) < size:
                 done = ends[k] - size + len(B)      # rows evaluated so far
@@ -152,9 +155,14 @@ class ConnectionField:
                 A = assemble_coefficients(*self.spec.connection_data_batch(
                     p0[i] + t[:, None] * delta[i]))
                 B = np.concatenate([B, -np.einsum("ji,jiab->jab", delta[i], A)])
-            out[seg[k]].append(_block_step(B[:size], 1.0 / steps[k]))
+            out.append(_block_step(B[:size], 1.0 / steps[k]))
             B = B[size:]
-        return out
+            if k + 1 == len(seg) or seg[k + 1] != seg[k]:
+                # the segments before seg[k] not yet yielded take no steps
+                yield from ([] for _ in range(yielded, seg[k]))
+                yield out
+                yielded, out = seg[k] + 1, []
+        yield from ([] for _ in range(yielded, len(segments)))
 
     def transport_segment(self, p0, p1, M, step=DEFAULT_STEP, blocks=None):
         """RK4 transport of component matrix M along the straight segment,

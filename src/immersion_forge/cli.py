@@ -26,13 +26,16 @@ validation, 2 malformed input (including a k that is not an integer in
 --grid above 100 000 grid points in all, a --step outside [1e-06, 0.1],
 a chart box with a bound, width or base coordinate that is not finite,
 for reconstruct and roundtrip a box whose widest side takes more than
-10 000 000 steps of --step, an --out that cannot be written and a field
-expression that leaves its domain or overflows) or off-model data.
+10 000 000 steps of --step, an --out that cannot be written, a JSON
+document nested too deeply, and a field expression that leaves its domain
+or overflows) or off-model data.  A field expression with a constant that
+is not finite, a division by a constant zero or nesting too deep to parse
+is named by its field and the byte offset of the token at fault.
 """
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import json
 import os
@@ -149,6 +152,9 @@ def load_input(source):
         raise InputError(f"cannot read {source}: {err}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"invalid JSON in {source}: {err}") from None
+    except RecursionError:
+        raise InputError(f"invalid JSON in {source}: nested too "
+                         f"deeply") from None
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     return load_document(doc)
@@ -194,20 +200,26 @@ def as_hypersurface(obj):
 # report writing
 
 
-def _atomic_write(path, lines):
-    directory = os.path.dirname(os.path.abspath(path))
+@contextlib.contextmanager
+def _report_file(out):
+    """The stream a report is written to: stdout, or a temporary file beside
+    ``out`` that replaces ``out`` once the report is whole."""
+    if not out:
+        yield sys.stdout
+        return
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out)),
+                                   prefix=".report-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(lines)
-            os.replace(tmp, path)
+                yield fh
+            os.replace(tmp, out)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
     except OSError as err:
-        raise InputError(f"cannot write report {path}: {err}") from None
+        raise InputError(f"cannot write report {out}: {err}") from None
 
 
 def _table(chart, points, columns):
@@ -240,38 +252,22 @@ def _table(chart, points, columns):
     return keys, records()
 
 
-def _jsonl(records, summary):
-    for rec in itertools.chain(records, [{"summary": True, **summary}]):
-        yield json.dumps(rec) + "\n"
-
-
-def _csv_lines(keys, records):
-    """The header line, then the line of each record as it is made; a
-    column a record lacks is left empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in itertools.chain(
-            [keys], ([rec.get(key, "") for key in keys] for rec in records)):
-        writer.writerow(row)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
-
-
 def emit(config, summary, table=((), ())):
     """Write the report of ``table``, a (keys, records) pair as ``_table``
-    makes; the records may be lazy, and are written one at a time."""
+    makes; the records may be lazy, and are written one at a time.  In CSV
+    a column that a record lacks is left empty."""
     keys, records = table
-    if config.format == "csv":
-        lines = _csv_lines(keys, records) if keys else ()
-    else:
-        lines = _jsonl(records, summary)
-    if config.out:
-        _atomic_write(config.out, lines)
-    else:
-        sys.stdout.writelines(lines)
+    summary = {"summary": True, **summary}
+    with _report_file(config.out) as fh:
+        if config.format == "json":
+            for rec in itertools.chain(records, [summary]):
+                fh.write(json.dumps(rec) + "\n")
+        elif keys:
+            writer = csv.DictWriter(fh, keys, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
     if config.out or config.format == "csv":
-        print(json.dumps({"summary": True, **summary}))
+        print(json.dumps(summary))
 
 
 def _sample_table(chart, samples):

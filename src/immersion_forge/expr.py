@@ -9,10 +9,15 @@ Differentiation is exact (rule-based), which is what keeps the curvature
 and flatness residual floors near 1e-12; finite differences are only used
 as cross-checks in the test suite.
 
-Per-operator decisions are tables keyed by the DAG's op names: the
-derivative rules, ``_DERIVATIVES``, and ``_OPS``, the compiled tape's op
+Per-operator decisions are tables keyed by the DAG's op names: ``_PREC``,
+the precedence and grouping that the parser and the printer share; the
+derivative rules, ``_DERIVATIVES``; and ``_OPS``, the compiled tape's op
 table, which constants fold through too, so a folded constant equals the
 tape's value (``+ - * /`` and negation fold in IEEE-identical Python).
+
+The parser builds every node through one guard: a node that cannot be
+built, or a constant that is not finite, is a ParseError at the byte offset
+of its token.
 """
 
 import math
@@ -247,48 +252,42 @@ def diff(e, name):
     return _diff_cache[e, name]
 
 
-# precedence levels for printing
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+# op -> (least precedence of its left operand, its own, least precedence of
+# its right operand), for parsing and printing alike: an operand below its
+# least is parenthesized.  + - * / group to the left and ^ to the right; a
+# unary minus has a right operand only.  A number, name or call has
+# precedence _ATOM.
+_PREC = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3),
+         "neg": (None, 3, 4), "^": (5, 4, 4)}
+_ATOM = 5
 
 
 def to_str(e):
     """Render to the input grammar; parse(to_str(e)) evaluates like e."""
     txt = {}
     prec = {}
+
+    def operand(node, least):
+        return f"({txt[node]})" if prec[node] < least else txt[node]
+
     for node in postorder([e]):
-        if node.kind == "const":
-            v = node.value
-            if v < 0:
-                txt[id(node)], prec[id(node)] = f"-{_fmt(-v)}", _PREC["neg"]
-            else:
-                txt[id(node)], prec[id(node)] = _fmt(v), 5
+        if node.kind == "const" and node.value < 0:
+            txt[node], prec[node] = f"-{_fmt(-node.value)}", _PREC["neg"][1]
+        elif node.kind == "const":
+            txt[node], prec[node] = _fmt(node.value), _ATOM
         elif node.kind == "var":
-            txt[id(node)], prec[id(node)] = node.value, 5
-        elif node.kind == "call":
-            a = node.args[0]
-            if node.op == "neg":
-                inner = txt[id(a)]
-                if prec[id(a)] < _PREC["neg"]:
-                    inner = f"({inner})"
-                txt[id(node)], prec[id(node)] = f"-{inner}", _PREC["neg"]
-            else:
-                txt[id(node)], prec[id(node)] = f"{node.op}({txt[id(a)]})", 5
+            txt[node], prec[node] = node.value, _ATOM
+        elif node.op in FUNCTIONS:
+            txt[node], prec[node] = f"{node.op}({txt[node.args[0]]})", _ATOM
         else:
-            a, b = node.args
-            p = _PREC[node.op]
-            left, right = txt[id(a)], txt[id(b)]
-            if node.op == "^":
-                if prec[id(a)] <= p:
-                    left = f"({left})"
-                if prec[id(b)] < p:
-                    right = f"({right})"
+            left, p, right = _PREC[node.op]
+            if node.op == "neg":
+                text = "-" + operand(node.args[0], right)
             else:
-                if prec[id(a)] < p:
-                    left = f"({left})"
-                if prec[id(b)] <= p:
-                    right = f"({right})"
-            txt[id(node)], prec[id(node)] = f"{left} {node.op} {right}", p
-    return txt[id(e)]
+                a, b = node.args
+                text = f"{operand(a, left)} {node.op} {operand(b, right)}"
+            txt[node], prec[node] = text, p
+    return txt[e]
 
 
 def _fmt(v):
@@ -303,32 +302,36 @@ def _fmt(v):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
+
+# binary operator -> the constructor of its node
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div, "^": powc}
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        off = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op"))
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), off))
-        elif m.group("ident"):
-            tokens.append(("ident", m.group("ident"), off))
-        else:
-            tokens.append(("op", m.group("op"), off))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _guard(off, make, *args):
+    """The node make(*args) that the parser builds at the token at byte
+    offset ``off``, or a ParseError there when make fails or gives a
+    constant that is not finite."""
+    try:
+        node = make(*args)
+    except ExprError as exc:
+        raise ParseError(str(exc), off) from exc
+    if node.kind == "const" and not math.isfinite(node.value):
+        raise ParseError("non-finite value", off)
+    return node
 
 
 class _Parser:
@@ -350,48 +353,27 @@ class _Parser:
         if kind != "op" or val != symbol:
             raise ParseError(f"expected {symbol!r}", off)
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.parse_term()
-                node = add(node, rhs) if val == "+" else sub(node, rhs)
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.parse_factor()
-                node = mul(node, rhs) if val == "*" else div(node, rhs)
-            else:
-                return node
-
-    def parse_factor(self):
+    def parse_expr(self, least=0):
+        """The expression from the current token on, up to the first binary
+        operator of precedence below ``least``."""
         kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return neg(self.parse_factor())
-        base = self.parse_atom()
-        kind, val, off = self.peek()
-        if kind == "op" and val == "^":
+            node = _guard(off, neg, self.parse_expr(_PREC["neg"][2]))
+        else:
+            node = self.parse_atom()
+        while True:
+            _, val, off = self.peek()
+            if val not in _BINARY or _PREC[val][1] < least:
+                return node
             self.next()
-            expo = self.parse_factor()
-            try:
-                return powc(base, expo)
-            except ExprError as exc:
-                raise ParseError(str(exc), off) from exc
-        return base
+            node = _guard(off, _BINARY[val], node,
+                          self.parse_expr(_PREC[val][2]))
 
     def parse_atom(self):
         kind, val, off = self.next()
         if kind == "num":
-            return const(float(val))
+            return _guard(off, const, float(val))
         if kind == "op" and val == "(":
             node = self.parse_expr()
             self.expect_op(")")
@@ -404,10 +386,7 @@ class _Parser:
                 self.next()
                 arg = self.parse_expr()
                 self.expect_op(")")
-                try:
-                    return call(val, arg)
-                except ExprError as exc:
-                    raise ParseError(str(exc), off) from exc
+                return _guard(off, call, val, arg)
             if val in self.coords:
                 return var(val)
             if val in NAMED_CONSTANTS:
@@ -423,7 +402,11 @@ def parse(text, coords=()):
     if not isinstance(text, str):
         raise ParseError("expression source must be a string", 0)
     parser = _Parser(_tokenize(text), coords)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         parser.peek()[2]) from None
     kind, _, off = parser.peek()
     if kind != "end":
         raise ParseError("trailing input", off)

@@ -173,17 +173,12 @@ def definite_points(g):
     return np.ones(len(g), dtype=bool)
 
 
-def check_positive_definite(g, point):
-    """Raise SingularMetricError unless ``g`` is positive definite.
-
-    With a leading point axis, ``g`` has shape (P, n, n), ``point`` holds
-    the P points and the error names the first failing one.
-    """
-    if g.ndim == 2:
-        g, point = g[None], [point]
+def check_positive_definite(g, points):
+    """Raise SingularMetricError unless each of ``g`` (P, n, n) is positive
+    definite, naming the first of the P ``points`` where one is not."""
     ok = definite_points(g)
     if not ok.all():
-        bad = point[int(np.argmin(ok))]
+        bad = points[int(np.argmin(ok))]
         raise SingularMetricError(
             f"metric not positive definite at {tuple(map(float, bad))}")
 

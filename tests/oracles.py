@@ -13,6 +13,10 @@ them, and compare each batched evaluation against itself on SUB_BATCHES.
 
 The test-only helpers are references that no command runs:
 
+* ``reference_parse``: the grammar reference, the recursive-descent
+  parser with one method per precedence level that ``expr.parse``'s one
+  precedence loop replaced, without the guard ``expr.parse`` builds each
+  node through;
 * ``evaluate``: an expression at one point, a node at a time in Python
   floats, against which the compiled tapes are checked; its functions and
   powers are ``_apply_unary`` and ``_apply_pow``, the ``math`` reference
@@ -31,6 +35,7 @@ The test-only helpers are references that no command runs:
 """
 
 import math
+import re
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +46,9 @@ from immersion_forge import expr as ex
 from immersion_forge import geometry as geo
 from immersion_forge import structure as st
 from immersion_forge.ambient import AmbientModel, NotOnModelError
-from immersion_forge.expr import DomainError
+from immersion_forge.expr import (
+    FUNCTIONS, NAMED_CONSTANTS, DomainError, ExprError, ParseError, add, call,
+    const, div, mul, neg, powc, sub, var)
 from immersion_forge.geometry import GRID_MARGIN, SingularMetricError
 
 # sub-batches at unaligned offsets and of odd lengths, up to row 1 032: a
@@ -517,6 +524,143 @@ def _apply_pow(b, c):
         return math.exp(c * math.log(b))
     except OverflowError as exc:
         raise DomainError(str(exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# the grammar reference: the recursive-descent parser that ``expr.parse``'s
+# precedence loop replaced, one method per precedence level
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            raise ParseError(f"unexpected character {stripped[0]!r}",
+                             len(text) - len(stripped))
+        off = m.start("num") if m.group("num") else (
+            m.start("ident") if m.group("ident") else m.start("op"))
+        if m.group("num"):
+            tokens.append(("num", m.group("num"), off))
+        elif m.group("ident"):
+            tokens.append(("ident", m.group("ident"), off))
+        else:
+            tokens.append(("op", m.group("op"), off))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, coords):
+        self.tokens = tokens
+        self.i = 0
+        self.coords = set(coords)
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, symbol):
+        kind, val, off = self.next()
+        if kind != "op" or val != symbol:
+            raise ParseError(f"expected {symbol!r}", off)
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.next()
+                rhs = self.parse_term()
+                node = add(node, rhs) if val == "+" else sub(node, rhs)
+            else:
+                return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.next()
+                rhs = self.parse_factor()
+                node = mul(node, rhs) if val == "*" else div(node, rhs)
+            else:
+                return node
+
+    def parse_factor(self):
+        kind, val, off = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            return neg(self.parse_factor())
+        base = self.parse_atom()
+        kind, val, off = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            expo = self.parse_factor()
+            try:
+                return powc(base, expo)
+            except ExprError as exc:
+                raise ParseError(str(exc), off) from exc
+        return base
+
+    def parse_atom(self):
+        kind, val, off = self.next()
+        if kind == "num":
+            return const(float(val))
+        if kind == "op" and val == "(":
+            node = self.parse_expr()
+            self.expect_op(")")
+            return node
+        if kind == "ident":
+            nkind, nval, _ = self.peek()
+            if nkind == "op" and nval == "(":
+                if val not in FUNCTIONS:
+                    raise ParseError(f"unknown function {val!r}", off)
+                self.next()
+                arg = self.parse_expr()
+                self.expect_op(")")
+                try:
+                    return call(val, arg)
+                except ExprError as exc:
+                    raise ParseError(str(exc), off) from exc
+            if val in self.coords:
+                return var(val)
+            if val in NAMED_CONSTANTS:
+                return const(NAMED_CONSTANTS[val])
+            if val in FUNCTIONS:
+                raise ParseError(f"function {val!r} needs one argument", off)
+            raise ParseError(f"unknown identifier {val!r}", off)
+        raise ParseError("expected number, identifier or '('", off)
+
+
+def reference_parse(text, coords=()):
+    """``text`` parsed as ``expr.parse`` did with one method per precedence
+    level, and without its check of each node: a constant that is not
+    finite passes, and a division by a constant zero raises a bare
+    ExprError."""
+    if not isinstance(text, str):
+        raise ParseError("expression source must be a string", 0)
+    parser = _Parser(_tokenize(text), coords)
+    node = parser.parse_expr()
+    kind, _, off = parser.peek()
+    if kind != "end":
+        raise ParseError("trailing input", off)
+    return node
 
 
 # ---------------------------------------------------------------------------

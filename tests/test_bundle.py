@@ -237,9 +237,9 @@ def test_segment_in_shared_batch_equals_segment_alone(cylinder, rng,
     for got, want in zip(shared, alone):
         assert np.array_equal(got, want)
     # the zero-length segment has no blocks and returns a copy of M
-    assert conn.block_steps(segments[2:3], step) == [[]]
+    assert list(conn.block_steps(segments[2:3], step)) == [[]]
     assert np.array_equal(shared[2], M0) and shared[2] is not M0
-    assert conn.block_steps([], step) == []
+    assert list(conn.block_steps([], step)) == []
 
 
 @pytest.mark.parametrize("chunk", [3, 257, 1024])
@@ -248,14 +248,35 @@ def test_block_steps_take_stage_points_in_grid_chunk_windows(
     # 257 is one block's stage points, 1024 the default chunk; every window
     # straddles segment and block boundaries
     _, conn = cylinder
-    reference = conn.block_steps(SEGMENTS, STEP)
+    reference = list(conn.block_steps(SEGMENTS, STEP))
     calls = _count_field_calls(monkeypatch)
     monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
-    got = conn.block_steps(SEGMENTS, STEP)
+    got = list(conn.block_steps(SEGMENTS, STEP))
     assert calls and max(calls) <= chunk
     assert [len(blocks) for blocks in got] == [len(b) for b in reference]
     for blocks, want in zip(got, reference):
         assert all(np.array_equal(D, W) for D, W in zip(blocks, want))
+
+
+def test_block_steps_yield_a_segment_once_its_last_block_is_formed(
+        cylinder, monkeypatch):
+    # a run holds one segment's blocks at a time: the first segment comes
+    # before more than one window of the next segment's stage rows is read
+    _, conn = cylinder
+    monkeypatch.setattr(geo, "GRID_CHUNK", 64)
+    segments = [LONG, SEGMENTS[3]]
+    steps = [int(np.ceil(np.linalg.norm(np.subtract(p1, p0)) / STEP))
+             for p0, p1 in segments]
+    block_counts = [int(np.ceil(s / bd.STAGE_BLOCK)) for s in steps]
+    rows = [2 * s + b for s, b in zip(steps, block_counts)]   # stage rows
+    calls = _count_field_calls(monkeypatch)
+    first = next(iter(conn.block_steps(segments, STEP)))
+    assert len(first) == block_counts[0]
+    assert rows[0] <= sum(calls) <= rows[0] + geo.GRID_CHUNK < sum(rows)
+    # the zero-length segments before, between and after are yielded empty
+    gaps = [SEGMENTS[2], LONG, SEGMENTS[2], SEGMENTS[2], LONG, SEGMENTS[2]]
+    assert [len(b) for b in conn.block_steps(gaps, STEP)] \
+        == [0, len(first), 0, 0, len(first), 0]
 
 
 def test_multi_segment_transport_matches_per_point_reference(cylinder, rng):

@@ -180,10 +180,24 @@ def test_expression_overflow_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("lam,offset", [
-    ("-1 + sin(1e999)*u1", 5),      # non-finite
+    ("-1 + sin(1e999)*u1", 9),      # non-finite, where the literal is read
     ("-1 + exp(1000)*u1", 5),       # overflow
     ("-1 + log(0)*u1", 5),          # out of the domain
     ("-1 + 2^5000*u1", 6),
+    # division by a constant zero, at its operator
+    ("-1 + u1/0", 7),
+    ("-1 + (1/0)*u1", 7),
+    ("-1 + u1^(1/0)", 10),
+    # a constant that is not finite, at the token that makes it
+    ("-1 + 1e999*u1", 5),
+    ("-1 + 1e200*1e200*u1", 10),
+    ("-1+(1e308+1e308)*u1", 9),
+    ("-1 + (1e999 - 1e999)*u1", 6),
+    ("1e999", 0),
+    # nesting too deep to parse
+    pytest.param("(" * 5000 + "u1" + ")" * 5000, None,
+                 id="5000-parentheses"),
+    pytest.param("-" * 5000 + "u1", None, id="5000-unary-minuses"),
 ])
 def test_constant_fold_failure_names_field_and_offset(capsys, tmp_path, lam,
                                                       offset):
@@ -194,8 +208,20 @@ def test_constant_fold_failure_names_field_and_offset(capsys, tmp_path, lam,
     assert code == 2
     assert out == ""
     assert err.startswith("error: bad expression in lambda: ")
-    assert err.endswith(f"(at byte offset {offset})\n")
+    if offset is None:
+        assert "expression nested too deeply (at byte offset " in err
+    else:
+        assert err.endswith(f"(at byte offset {offset})\n")
     assert "Traceback" not in err
+
+
+def test_json_nested_too_deeply_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid JSON in {path}: nested too deeply\n"
 
 
 COMMANDS = ["check", "reconstruct", "extract", "roundtrip", "audit"]

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 
 import numpy as np
 import pytest
@@ -155,6 +156,125 @@ def test_parse_errors_carry_byte_offsets(text, offset):
     with pytest.raises(ex.ParseError) as err:
         ex.parse(text, ("u1", "u2"))
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["(" * 5000 + "u1" + ")" * 5000,
+                                  "-" * 5000 + "u1"],
+                         ids=["5000-parentheses", "5000-unary-minuses"])
+def test_too_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ex.ParseError, match="expression nested too deeply"):
+        ex.parse(text, COORDS)
+
+
+# tokens of the differential test: the operators, numbers that are zero,
+# small, huge or infinite, names of every kind, stray characters and spaces;
+# tokens run together too ("1e2001" is infinite)
+FUZZ_TOKENS = ["+", "-", "*", "/", "^", "(", ")", "0", "1", "2", "0.5",
+               "1e999", "1e200", "u1", "u2", "sin", "exp", "log", "sqrt",
+               "pi", "x", "$", ".", ",", " ", "  "]
+
+
+class _NonFinite(Exception):
+    """A node of the reference parse that is a constant not finite."""
+
+
+def _check_finite(make):
+    def checked(*args):
+        node = make(*args)
+        if node.kind == "const" and not math.isfinite(node.value):
+            raise _NonFinite
+        return node
+    return checked
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, COORDS)
+    except (ex.ExprError, _NonFinite) as exc:
+        return exc
+
+
+def test_parser_matches_the_reference_grammar(monkeypatch):
+    # the reference with the guard's finiteness test on each node it builds
+    for name in ("const", "neg", "add", "sub", "mul", "div", "powc", "call"):
+        monkeypatch.setattr(oracles, name, _check_finite(getattr(ex, name)))
+    rng = random.Random(20151)
+    valid = 0
+    for _ in range(30_000):
+        text = "".join(rng.choice(FUZZ_TOKENS)
+                       for _ in range(rng.randint(1, 12)))
+        got = _outcome(ex.parse, text)
+        want = _outcome(oracles.reference_parse, text)
+        if isinstance(want, ex.Expr):
+            valid += 1
+            assert got is want, text
+            continue
+        assert type(got) is ex.ParseError, text
+        if isinstance(want, _NonFinite):
+            # the first constant that is not finite, at the token building it
+            assert str(got).startswith("non-finite value ("), text
+            assert got.offset in [off for kind, _, off
+                                  in oracles._tokenize(text)
+                                  if kind != "op" or text[off] not in "()"]
+        elif type(want) is ex.ExprError:
+            # a division by a constant zero, at its operator
+            assert str(got).startswith(f"{want} ("), text
+            assert text[got.offset] == "/", text
+        else:
+            assert (str(got), got.offset) == (str(want), want.offset), text
+    assert valid > 600
+
+
+def test_parser_matches_the_reference_on_the_corpus_and_catalog():
+    texts = [(text, COORDS) for text in CORPUS + OP_CASES
+             + BIT_IDENTICAL_CASES]
+    for name in am.catalog_names():
+        h = am.catalog_entry(name)
+        texts += [(ex.to_str(x), h.chart.coords) for x in h.x]
+    for text, coords in texts:
+        assert ex.parse(text, coords) is oracles.reference_parse(text, coords)
+
+
+def _dags(rng, depth):
+    """A random DAG over u1, u2 and constants of either sign, built through
+    the constructors the parser uses."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([ex.var("u1"), ex.var("u2"), ex.const(2.0),
+                           ex.const(-3.0), ex.const(0.5), ex.const(-1.25)])
+    kind = rng.randrange(4)
+    a, b = _dags(rng, depth - 1), _dags(rng, depth - 1)
+    try:
+        if kind == 0:
+            return ex.neg(a)
+        if kind == 1:
+            return ex.call(rng.choice(ex.FUNCTIONS), a)
+        if kind == 2:
+            return ex.powc(a, rng.choice([3.0, -2.0, 0.5, -1.5]))
+        return rng.choice([ex.add, ex.sub, ex.mul, ex.div])(a, b)
+    except ex.ExprError:            # a constant folded out of its domain
+        return a
+
+
+# the binary constructors; the exponent of a power is a constant
+_BINARY_OPS = [ex.add, ex.sub, ex.mul, ex.div,
+               lambda a, b: ex.powc(a, -3.0)]
+
+
+def test_print_parse_roundtrip_over_generated_dags():
+    u1, u2 = ex.var("u1"), ex.var("u2")
+    # every binary op nested on either side of every other, under and over
+    # a unary minus, with negative constants and a function
+    cases = []
+    for inner in _BINARY_OPS:
+        for outer in _BINARY_OPS:
+            nested = inner(u1, ex.call("sin", u2))
+            cases += [outer(nested, u2), outer(u2, nested),
+                      outer(ex.neg(nested), ex.const(-2.0)),
+                      ex.neg(outer(ex.const(-2.0), nested))]
+    rng = random.Random(7)
+    cases += [_dags(rng, 6) for _ in range(400)]
+    for e in cases:
+        assert ex.parse(ex.to_str(e), COORDS) is e, ex.to_str(e)
 
 
 def test_nonconstant_exponent_rejected():
