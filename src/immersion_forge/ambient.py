@@ -89,36 +89,52 @@ class AmbientModel:
 # symbolic linear algebra helpers (small matrices of expressions)
 
 
-def sym_det(rows):
-    """Determinant of a square matrix of expressions (Laplace expansion)."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return ex.sub(ex.mul(rows[0][0], rows[1][1]),
-                      ex.mul(rows[0][1], rows[1][0]))
-    total = ex.ZERO
-    for j in range(m):
-        minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
-        term = ex.mul(rows[0][j], sym_det(minor))
-        total = ex.add(total, term) if j % 2 == 0 else ex.sub(total, term)
-    return total
+def sym_minor(m, rows, cols, memo):
+    """Determinant of the expression matrix ``m`` restricted to the row tuple
+    ``rows`` and the column tuple ``cols``: Laplace expansion along rows[0],
+    the columns in order, where the empty minor is 1.  ``memo`` keeps each
+    minor built, keyed by (rows, cols); pass a fresh dict for each matrix."""
+    if not rows:
+        return ex.ONE
+    det = memo.get((rows, cols))
+    if det is None:
+        det = ex.ZERO
+        for j, c in enumerate(cols):
+            minor = sym_minor(m, rows[1:], cols[:j] + cols[j + 1:], memo)
+            term = ex.mul(m[rows[0]][c], minor)
+            det = ex.add(det, term) if j % 2 == 0 else ex.sub(det, term)
+        memo[(rows, cols)] = det
+    return det
 
 
 def sym_inverse(rows):
-    """Inverse of a square matrix of expressions via the adjugate."""
-    m = len(rows)
-    det = sym_det(rows)
-    inv = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [[rows[r][c] for c in range(m) if c != i]
-                     for r in range(m) if r != j]
-            cof = sym_det(minor) if m > 1 else ex.ONE
-            if (i + j) % 2 == 1:
-                cof = ex.neg(cof)
-            inv[i][j] = ex.div(cof, det)
+    """Inverse of a square matrix of expressions via the adjugate; the
+    determinant and the cofactors share one memo of minors."""
+    idx, memo = tuple(range(len(rows))), {}
+    det = sym_minor(rows, idx, idx, memo)
+    inv = [[None] * len(idx) for _ in idx]
+    for i in idx:
+        for j in idx:
+            cof = sym_minor(rows, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:],
+                            memo)
+            inv[i][j] = ex.div(ex.neg(cof) if (i + j) % 2 else cof, det)
     return inv
+
+
+def minkowski_dot(u, v):
+    """<u, v> of two expression vectors, the last slot timelike."""
+    total = ex.ZERO
+    for a, (ua, va) in enumerate(zip(u, v)):
+        eta = ex.const(-1.0 if a == len(u) - 1 else 1.0)
+        total = ex.add(total, ex.mul(eta, ex.mul(ua, va)))
+    return total
+
+
+def _dot(row, vec):
+    total = ex.ZERO
+    for r, v in zip(row, vec):
+        total = ex.add(total, ex.mul(r, v))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +158,17 @@ class ParametrizedHypersurface:
     def n(self):
         return self.chart.n
 
+    @cached_property
+    def tangents(self):
+        """The jacobian as coordinate vectors: tangents[i][a] = d_i x_a."""
+        return [[ex.diff(xa, c) for xa in self.x] for c in self.chart.coords]
+
     def _fields(self, *extra):
         """Position x[a] and jacobian dx[a, i] = d_i x_a, then ``extra``."""
-        x = np.array(self.x, dtype=object)
-        dx = geo.derivatives(x, self.chart.coords).T
-        return geo.compile_fields([("x", x), ("dx", dx), *extra],
-                                  self.chart.coords)
+        return geo.compile_fields(
+            [("x", np.array(self.x, dtype=object)),
+             ("dx", np.array(self.tangents, dtype=object).T), *extra],
+            self.chart.coords)
 
     @cached_property
     def _sample_evaluator(self):
@@ -182,31 +203,21 @@ class ParametrizedHypersurface:
     @cached_property
     def normal_exprs(self):
         """Spacelike unit normal (symbolic), sign fixed by orientation."""
-        coords = self.chart.coords
         n, d = self.n, self.n + 3
-        dx = [[ex.diff(xa, c) for c in coords] for xa in self.x]
-        xi1 = [self.x[a] if a < self.k + 1 else ex.ZERO for a in range(d)]
-        xi2 = [ex.ZERO if a < self.k + 1 else self.x[a] for a in range(d)]
-        columns = [[dx[a][j] for a in range(d)] for j in range(n)] + [xi1, xi2]
+        s = self.k + 1                  # the slots of the sphere factor
+        xi1 = self.x[:s] + (ex.ZERO,) * (d - s)
+        xi2 = (ex.ZERO,) * s + self.x[s:]
+        mat = list(zip(*self.tangents, xi1, xi2))   # mat[a][v]: slot a of v
         # Minkowski cross product: component a of the (unnormalized) normal
-        # is eta^aa (-1)^a det(columns with slot a removed); the extra
+        # is eta^aa (-1)^a det(the vectors with slot a removed); the extra
         # (-1)^n puts the normal after the tangent frame in the positive
         # orientation det(dx_1 .. dx_n, nu, xi1, xi2) > 0.
-        nu = []
-        for a in range(d):
-            rows = [[col[b] for b in range(d) if b != a] for col in columns]
-            # rows currently lists each vector; determinant wants a matrix
-            mat = [[rows[v][b] for v in range(d - 1)] for b in range(d - 1)]
-            term = sym_det(mat)
-            sign = (-1) ** (a + n)
-            eta = -1.0 if a == d - 1 else 1.0
-            coeff = sign * eta
-            nu.append(ex.mul(ex.const(coeff), term))
-        norm2 = ex.ZERO
-        for a in range(d):
-            eta = ex.const(-1.0 if a == d - 1 else 1.0)
-            norm2 = ex.add(norm2, ex.mul(eta, ex.mul(nu[a], nu[a])))
-        inv_norm = ex.div(ex.ONE, ex.call("sqrt", norm2))
+        memo = {}
+        nu = [ex.mul(ex.const((-1) ** (a + n) * (-1.0 if a == d - 1 else 1.0)),
+                     sym_minor(mat, tuple(b for b in range(d) if b != a),
+                               tuple(range(d - 1)), memo))
+              for a in range(d)]
+        inv_norm = ex.div(ex.ONE, ex.call("sqrt", minkowski_dot(nu, nu)))
         return [ex.mul(na, inv_norm) for na in nu]
 
     @cached_property
@@ -220,62 +231,28 @@ def extract_structure(h):
     All fields are exact expressions, so the result feeds the same
     pipeline (checks, connection, flatness) as a hand-written structure.
     """
-    chart = h.chart
-    coords = chart.coords
-    n, d = h.n, h.n + 3
-    eta = [ex.const(-1.0 if a == d - 1 else 1.0) for a in range(d)]
-    fh = [ex.const(1.0 if a < h.k + 1 else -1.0) for a in range(d)]
-
-    dx = [[ex.diff(xa, c) for c in coords] for xa in h.x]
-    ddx = [[[ex.diff(dx[a][i], coords[j]) for j in range(n)]
-            for i in range(n)] for a in range(d)]
+    tangents = h.tangents
     nu = h.normal_exprs
-
-    def minkowski_dot(u, v):
-        total = ex.ZERO
-        for a in range(d):
-            total = ex.add(total, ex.mul(eta[a], ex.mul(u[a], v[a])))
-        return total
-
-    g = [[minkowski_dot([dx[a][i] for a in range(d)],
-                        [dx[a][j] for a in range(d)])
-          for j in range(n)] for i in range(n)]
+    fh = [ex.const(1.0 if a < h.k + 1 else -1.0) for a in range(h.n + 3)]
+    g = [[minkowski_dot(ti, tj) for tj in tangents] for ti in tangents]
     ginv = sym_inverse(g)
 
     # the Minkowski-flat second derivative suffices for the shape operator:
     # <d2x, nu> kills the model's xi1/xi2 correction terms since nu is
     # orthogonal to xi1 and xi2 by construction.
-    hform = [[minkowski_dot([ddx[a][i][j] for a in range(d)], nu)
-              for j in range(n)] for i in range(n)]
-    S = [[_dot_row(ginv[i], [hform[m][j] for m in range(n)])
-          for j in range(n)] for i in range(n)]
-
-    fnu = [ex.mul(fh[a], nu[a]) for a in range(d)]
-    lam = minkowski_dot(fnu, nu)
-    w = [minkowski_dot([dx[a][m] for a in range(d)], fnu) for m in range(n)]
-    U = [_dot_row(ginv[i], w) for i in range(n)]
-    t = [[minkowski_dot([dx[a][m] for a in range(d)],
-                        [ex.mul(fh[a], dx[a][j]) for a in range(d)])
-          for j in range(n)] for m in range(n)]
-    f = [[_dot_row(ginv[i], [t[m][j] for m in range(n)])
-          for j in range(n)] for i in range(n)]
-
+    hform = [[minkowski_dot([ex.diff(ta, c) for ta in ti], nu)
+              for c in h.chart.coords] for ti in tangents]
+    fnu = [ex.mul(fa, na) for fa, na in zip(fh, nu)]
+    ftangents = [[ex.mul(fa, ta) for fa, ta in zip(fh, tj)] for tj in tangents]
+    t = [[minkowski_dot(ti, ftj) for ftj in ftangents] for ti in tangents]
+    w = [minkowski_dot(ti, fnu) for ti in tangents]
+    # an index raised with g^-1: S^i_j = g^(im) hform_mj, and so f and U
+    S = [[_dot(gi, col) for col in zip(*hform)] for gi in ginv]
+    f = [[_dot(gi, col) for col in zip(*t)] for gi in ginv]
+    U = [_dot(gi, w) for gi in ginv]
     return st.StructureSpec(
-        chart,
-        np.array(g, dtype=object),
-        np.array(S, dtype=object),
-        np.array(f, dtype=object),
-        np.array(U, dtype=object),
-        lam,
-        declared_k=h.k,
-    )
-
-
-def _dot_row(row, vec):
-    total = ex.ZERO
-    for r, v in zip(row, vec):
-        total = ex.add(total, ex.mul(r, v))
-    return total
+        h.chart, *(np.array(a, dtype=object) for a in (g, S, f, U)),
+        minkowski_dot(fnu, nu), declared_k=h.k)
 
 
 def hypersurface_samples(h, points):

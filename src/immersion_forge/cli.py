@@ -20,17 +20,19 @@ Reports are line-oriented JSON (one record per grid point plus one final
 summary record) or CSV tables.  CSV column order: point coordinates, psi
 components, N components, residual columns; the summary then goes to
 stdout.  Exit codes: 0 success/admissible, 1 inadmissible or a failed
-validation, 2 malformed input (including a k that is not an integer in
-1..n, repeated coordinate names, a field nested to the wrong depth, a
---tol that is not positive and finite, a --base outside the chart, a
---grid above 100 000 grid points in all, a --step outside [1e-06, 0.1],
-a chart box with a bound, width or base coordinate that is not finite,
-for reconstruct and roundtrip a box whose widest side takes more than
-10 000 000 steps of --step, an --out that cannot be written, a JSON
-document nested too deeply, and a field expression that leaves its domain
-or overflows) or off-model data.  A field expression with a constant that
-is not finite, a division by a constant zero or nesting too deep to parse
-is named by its field and the byte offset of the token at fault.
+validation, 2 malformed input (including a file that is not UTF-8, a k
+that is not an integer in 1..n, repeated coordinate names, a field nested
+to the wrong depth, a --tol that is not positive and finite, a --base
+outside the chart, a --grid above 100 000 grid points in all, a --step
+outside [1e-06, 0.1], a chart box with a bound, width or base coordinate
+that is not finite, for reconstruct and roundtrip a box whose widest side
+takes more than 10 000 000 steps of --step, an --out that cannot be
+written, a JSON document nested too deeply, and a field expression that
+leaves its domain or overflows) or off-model data.  A field expression
+with a constant that is not finite, a division by a constant zero or
+nesting too deep to parse is named by its field and the UTF-8 byte offset
+of the token at fault.  With no --grid, the density is the largest of
+2..8 within the 100 000-point cap: 8 up to n = 5, then 6, 5 and 4.
 """
 
 import argparse
@@ -62,6 +64,13 @@ class InputError(Exception):
 
 # largest grid in points, --grid to the power of the chart dimension
 MAX_GRID_POINTS = 100_000
+
+
+def default_grid(n):
+    """The --grid of an n-dimensional chart when none is given: the largest
+    density in 2..8 with at most MAX_GRID_POINTS points, else 2."""
+    return max((d for d in range(2, 9) if d ** n <= MAX_GRID_POINTS),
+               default=2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +159,8 @@ def load_input(source):
             doc = json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {source}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise InputError(f"{source} is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise InputError(f"invalid JSON in {source}: {err}") from None
     except RecursionError:
@@ -172,9 +183,12 @@ def as_structure(obj, grid_density=8, grid=None):
 
 def load_checked_input(config):
     """Load the input, then reject a --grid or --base that does not fit its
-    chart, before any grid is built."""
+    chart, before any grid is built; with no --grid, take the chart's
+    ``default_grid``."""
     obj = load_input(config.input)
     chart = obj.chart
+    if config.grid is None:
+        config.grid = default_grid(chart.n)
     points = config.grid ** chart.n
     if points > MAX_GRID_POINTS:
         raise InputError(f"--grid {config.grid} gives {points} points on this "
@@ -401,8 +415,9 @@ def build_parser():
                        help="JSON input file or catalog:NAME reference")
         p.add_argument("--tol", type=float, default=tolerance[name],
                        help="residual tolerance (default %(default)g)")
-        p.add_argument("--grid", type=int, default=8,
-                       help="grid density per axis (default 8)")
+        p.add_argument("--grid", type=int, default=None,
+                       help="grid density per axis (default: the largest "
+                            "of 2..8 within the point cap)")
         p.add_argument("--step", type=float, default=bd.DEFAULT_STEP,
                        help="RK4 transport step (default %(default)g)")
         p.add_argument("--base", type=_point_arg, default=None,
@@ -428,7 +443,7 @@ def validate_config(config):
         raise InputError("tolerance must be positive")
     if not np.isfinite(config.tol):
         raise InputError("tolerance must be finite")
-    if config.grid < 2:
+    if config.grid is not None and config.grid < 2:
         raise InputError("grid density must be >= 2")
     if not bd.MIN_STEP <= config.step <= bd.MAX_STEP:
         raise InputError(

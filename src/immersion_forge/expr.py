@@ -291,7 +291,7 @@ def to_str(e):
 
 
 def _fmt(v):
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return repr(int(v))
     return repr(v)
 
@@ -310,14 +310,16 @@ _BINARY = {"+": add, "-": sub, "*": mul, "/": div, "^": powc}
 
 
 def _tokenize(text):
-    tokens = []
+    """(kind, text, UTF-8 byte offset) of each token, then an end token."""
+    tokens, pos, off = [], 0, 0     # pos is off as an index of text
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        off += len(text[pos:m.start(kind)].encode())
+        pos = m.start(kind)
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}",
-                             m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
+            raise ParseError(f"unexpected character {m.group(kind)!r}", off)
+        tokens.append((kind, m.group(kind), off))
+    tokens.append(("end", "", len(text.encode())))
     return tokens
 
 

@@ -31,7 +31,15 @@ The test-only helpers are references that no command runs:
   for the uniqueness clause;
 * ``require_tangent``, ``model_wedge``, ``ambient_connection`` and
   ``ambient_curvature``: the connection and curvature of the model
-  S^k x H^(n-k+1) applied to tangent vectors at one point.
+  S^k x H^(n-k+1) applied to tangent vectors at one point;
+* ``reference_sym_det``, ``reference_sym_inverse``,
+  ``reference_normal_exprs`` and ``reference_extract_structure``: the
+  extraction reference, one Laplace expansion with no memo per
+  determinant, which ``ambient.sym_minor``'s memoized minors replaced;
+  the tests check that ``ambient`` builds the very same nodes;
+* ``slice_hypersurface``, ``mixed_s2h2`` and ``mixed_s2h3``: ground truth
+  beyond the catalog, in n = 4 ... 7 and with k = 2, and
+  ``hypersurface_document``, the CLI input document of one of them.
 """
 
 import math
@@ -860,3 +868,180 @@ def ambient_curvature(model, x, X, Y, Z, tol=1e-10):
     F = model.fhat
     return 0.5 * (F @ model_wedge(model, X, Y, Z)
                   + model_wedge(model, X, Y, F @ Z))
+
+
+# ---------------------------------------------------------------------------
+# the extraction reference: one Laplace expansion per determinant
+
+
+def reference_sym_det(rows):
+    """Determinant of a square matrix of expressions (Laplace expansion)."""
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return ex.sub(ex.mul(rows[0][0], rows[1][1]),
+                      ex.mul(rows[0][1], rows[1][0]))
+    total = ex.ZERO
+    for j in range(m):
+        minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
+        term = ex.mul(rows[0][j], reference_sym_det(minor))
+        total = ex.add(total, term) if j % 2 == 0 else ex.sub(total, term)
+    return total
+
+
+def reference_sym_inverse(rows):
+    """Inverse of a square matrix of expressions via the adjugate."""
+    m = len(rows)
+    det = reference_sym_det(rows)
+    inv = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            minor = [[rows[r][c] for c in range(m) if c != i]
+                     for r in range(m) if r != j]
+            cof = reference_sym_det(minor) if m > 1 else ex.ONE
+            if (i + j) % 2 == 1:
+                cof = ex.neg(cof)
+            inv[i][j] = ex.div(cof, det)
+    return inv
+
+
+def reference_normal_exprs(h):
+    """Spacelike unit normal (symbolic), sign fixed by orientation."""
+    coords = h.chart.coords
+    n, d = h.n, h.n + 3
+    dx = [[ex.diff(xa, c) for c in coords] for xa in h.x]
+    xi1 = [h.x[a] if a < h.k + 1 else ex.ZERO for a in range(d)]
+    xi2 = [ex.ZERO if a < h.k + 1 else h.x[a] for a in range(d)]
+    columns = [[dx[a][j] for a in range(d)] for j in range(n)] + [xi1, xi2]
+    # Minkowski cross product: component a of the (unnormalized) normal
+    # is eta^aa (-1)^a det(columns with slot a removed); the extra
+    # (-1)^n puts the normal after the tangent frame in the positive
+    # orientation det(dx_1 .. dx_n, nu, xi1, xi2) > 0.
+    nu = []
+    for a in range(d):
+        rows = [[col[b] for b in range(d) if b != a] for col in columns]
+        # rows currently lists each vector; determinant wants a matrix
+        mat = [[rows[v][b] for v in range(d - 1)] for b in range(d - 1)]
+        term = reference_sym_det(mat)
+        sign = (-1) ** (a + n)
+        eta = -1.0 if a == d - 1 else 1.0
+        coeff = sign * eta
+        nu.append(ex.mul(ex.const(coeff), term))
+    norm2 = ex.ZERO
+    for a in range(d):
+        eta = ex.const(-1.0 if a == d - 1 else 1.0)
+        norm2 = ex.add(norm2, ex.mul(eta, ex.mul(nu[a], nu[a])))
+    inv_norm = ex.div(ex.ONE, ex.call("sqrt", norm2))
+    return [ex.mul(na, inv_norm) for na in nu]
+
+
+def reference_extract_structure(h):
+    """Induced structure quintuple of a parametrized hypersurface.
+
+    All fields are exact expressions, so the result feeds the same
+    pipeline (checks, connection, flatness) as a hand-written structure.
+    """
+    chart = h.chart
+    coords = chart.coords
+    n, d = h.n, h.n + 3
+    eta = [ex.const(-1.0 if a == d - 1 else 1.0) for a in range(d)]
+    fh = [ex.const(1.0 if a < h.k + 1 else -1.0) for a in range(d)]
+
+    dx = [[ex.diff(xa, c) for c in coords] for xa in h.x]
+    ddx = [[[ex.diff(dx[a][i], coords[j]) for j in range(n)]
+            for i in range(n)] for a in range(d)]
+    nu = reference_normal_exprs(h)
+
+    def minkowski_dot(u, v):
+        total = ex.ZERO
+        for a in range(d):
+            total = ex.add(total, ex.mul(eta[a], ex.mul(u[a], v[a])))
+        return total
+
+    g = [[minkowski_dot([dx[a][i] for a in range(d)],
+                        [dx[a][j] for a in range(d)])
+          for j in range(n)] for i in range(n)]
+    ginv = reference_sym_inverse(g)
+
+    # the Minkowski-flat second derivative suffices for the shape operator:
+    # <d2x, nu> kills the model's xi1/xi2 correction terms since nu is
+    # orthogonal to xi1 and xi2 by construction.
+    hform = [[minkowski_dot([ddx[a][i][j] for a in range(d)], nu)
+              for j in range(n)] for i in range(n)]
+    S = [[_dot_row(ginv[i], [hform[m][j] for m in range(n)])
+          for j in range(n)] for i in range(n)]
+
+    fnu = [ex.mul(fh[a], nu[a]) for a in range(d)]
+    lam = minkowski_dot(fnu, nu)
+    w = [minkowski_dot([dx[a][m] for a in range(d)], fnu) for m in range(n)]
+    U = [_dot_row(ginv[i], w) for i in range(n)]
+    t = [[minkowski_dot([dx[a][m] for a in range(d)],
+                        [ex.mul(fh[a], dx[a][j]) for a in range(d)])
+          for j in range(n)] for m in range(n)]
+    f = [[_dot_row(ginv[i], [t[m][j] for m in range(n)])
+          for j in range(n)] for i in range(n)]
+
+    return st.StructureSpec(
+        chart,
+        np.array(g, dtype=object),
+        np.array(S, dtype=object),
+        np.array(f, dtype=object),
+        np.array(U, dtype=object),
+        lam,
+        declared_k=h.k,
+    )
+
+
+def _dot_row(row, vec):
+    total = ex.ZERO
+    for r, v in zip(row, vec):
+        total = ex.add(total, ex.mul(r, v))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# hypersurfaces beyond the catalog: n = 4 ... 7 and k = 2
+
+
+def slice_hypersurface(n):
+    """The totally geodesic S^1 x H^(n-1) slice of S^1 x H^n,
+    x = (cos u1, sin u1, 0, u2, ..., un, sqrt(1 + u2^2 + ... + un^2)), on
+    [-0.4, 0.4]^n; n = 3 is the catalog's ``geodesic_slice_n3``."""
+    coords = tuple(f"u{i}" for i in range(1, n + 1))
+    chart = geo.Chart(coords, ((-0.4, 0.4),) * n,
+                      tuple(0.05 * (-1) ** i * (1 + i % 2) for i in range(n)))
+    x = (("cos(u1)", "sin(u1)", "0") + coords[1:]
+         + ("sqrt(1 + " + " + ".join(f"{c}^2" for c in coords[1:]) + ")",))
+    return am.ParametrizedHypersurface(chart, x, k=1, name=f"slice_n{n}")
+
+
+def mixed_s2h2():
+    """A hypersurface of S^2 x H^2 (n = 3, k = 2) whose tangent spaces mix
+    the factors, so S, U and lambda all vary."""
+    chart = geo.Chart(("u1", "u2", "u3"), ((-0.4, 0.4),) * 3,
+                      (0.05, -0.1, 0.1))
+    x = ("cos(u3)*cos(0.6*u1)", "cos(u3)*sin(0.6*u1)", "sin(u3)", "sinh(u2)",
+         "cosh(u2)*sinh(0.8*u1)", "cosh(u2)*cosh(0.8*u1)")
+    return am.ParametrizedHypersurface(chart, x, k=2, name="mixed_s2h2")
+
+
+def mixed_s2h3():
+    """A hypersurface of S^2 x H^3 (n = 4, k = 2): ``mixed_s2h2`` swept
+    along a fourth, hyperbolic direction."""
+    chart = geo.Chart(("u1", "u2", "u3", "u4"), ((-0.4, 0.4),) * 4,
+                      (0.05, -0.1, 0.1, 0.02))
+    x = ("cos(u3)*cos(0.6*u1)", "cos(u3)*sin(0.6*u1)", "sin(u3)", "sinh(u2)",
+         "cosh(u2)*sinh(u4)", "cosh(u2)*cosh(u4)*sinh(0.8*u1)",
+         "cosh(u2)*cosh(u4)*cosh(0.8*u1)")
+    return am.ParametrizedHypersurface(chart, x, k=2, name="mixed_s2h3")
+
+
+def hypersurface_document(h):
+    """The CLI input document of ``h``; its expressions are the inputs' own
+    strings, so ``h`` must be built from strings."""
+    return {"kind": "hypersurface", "n": h.n, "k": h.k,
+            "coords": list(h.chart.coords),
+            "domain": [list(iv) for iv in h.chart.box],
+            "base_point": list(h.chart.base_point),
+            "fields": {"x": [ex.to_str(xa) for xa in h.x]}}

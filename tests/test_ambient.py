@@ -1,5 +1,7 @@
 """Minkowski model, extraction oracle, congruence, equation audit."""
 
+import time
+
 import numpy as np
 import oracles
 import pytest
@@ -114,12 +116,111 @@ def test_sym_det_and_inverse_match_numpy(rng):
     for m in (1, 2, 3, 4):
         M = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
         rows = [[ex.const(float(v)) for v in row] for row in M]
-        det = oracles.evaluate(am.sym_det(rows), {})
+        idx = tuple(range(m))
+        det = oracles.evaluate(am.sym_minor(rows, idx, idx, {}), {})
         assert det == pytest.approx(np.linalg.det(M), rel=1e-10)
         inv = am.sym_inverse(rows)
         inv_num = np.array([[oracles.evaluate(e, {}) for e in row]
                             for row in inv])
         assert np.abs(inv_num - np.linalg.inv(M)).max() < 1e-10
+
+
+def _symbolic_matrix(m, rng):
+    """An m x m matrix of expressions over u1, u2, u3 that is non-singular
+    at u = (1, 1, 1), where it is a random M + 2I; about a third of its
+    off-diagonal entries are zero and a third constants, so the expansion
+    meets every folding rule of ``expr.add``, ``sub`` and ``mul``."""
+    M = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
+    kind = rng.integers(0, 3, (m, m))
+    rows = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if kind[i, j] == 0 and i != j:
+                M[i, j] = 0.0
+                rows[i][j] = ex.ZERO
+            elif kind[i, j] == 1:
+                rows[i][j] = ex.const(float(M[i, j]))
+            else:
+                u = ex.var(f"u{(i + j) % 3 + 1}")
+                rows[i][j] = ex.mul(ex.const(float(M[i, j])), u)
+    return rows, M
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sym_minor_builds_the_reference_nodes(m):
+    rng = np.random.default_rng(1800 + m)
+    rows, M = _symbolic_matrix(m, rng)
+    assert abs(np.linalg.det(M)) > 1e-3
+    idx = tuple(range(m))
+    det = am.sym_minor(rows, idx, idx, {})
+    assert det is oracles.reference_sym_det(rows)
+    inv = am.sym_inverse(rows)
+    want = oracles.reference_sym_inverse(rows)
+    assert all(a is b for row, wrow in zip(inv, want)
+               for a, b in zip(row, wrow))
+    ones = {"u1": 1.0, "u2": 1.0, "u3": 1.0}
+    inv_num = np.array([[oracles.evaluate(e, ones) for e in row]
+                        for row in inv])
+    assert np.abs(inv_num - np.linalg.inv(M)).max() < 1e-9
+
+
+# catalog entries, then the inputs beyond the catalog: slices up to n = 5
+# (the reference takes about 0.2 s at n = 5, and doubles in time per n)
+# and the two mixed k = 2 inputs
+EXTRACTION_INPUTS = {
+    **{name: (lambda name=name: am.catalog_entry(name))
+       for name in am.catalog_names()},
+    **{f"slice_n{n}": (lambda n=n: oracles.slice_hypersurface(n))
+       for n in (2, 4, 5)},
+    "mixed_s2h2": oracles.mixed_s2h2,
+    "mixed_s2h3": oracles.mixed_s2h3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTRACTION_INPUTS))
+def test_extraction_builds_the_reference_nodes(name):
+    h = EXTRACTION_INPUTS[name]()
+    assert all(a is b for a, b in zip(h.normal_exprs,
+                                      oracles.reference_normal_exprs(h)))
+    got = am.extract_structure(h)
+    want = oracles.reference_extract_structure(h)
+    for field in ("g", "S", "f", "U"):
+        assert all(a is b for a, b in zip(getattr(got, field).flat,
+                                          getattr(want, field).flat)), field
+    assert got.lam is want.lam
+    assert got.declared_k == want.declared_k == h.k
+
+
+def test_normal_in_seven_dimensions_is_built_quickly():
+    # one Laplace expansion per component took 9.8 s here; every minor
+    # built once takes about 0.03 s
+    h = oracles.slice_hypersurface(7)
+    start = time.perf_counter()
+    h.normal_exprs
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_slices_up_to_seven_dimensions_are_admissible(n):
+    h = oracles.slice_hypersurface(n)
+    spec = am.extract_structure(h)
+    report = st.admit(spec, grid_density=2)
+    assert report.admissible, report.reasons
+    assert report.k == 1
+
+
+@pytest.mark.parametrize("make", [oracles.mixed_s2h2, oracles.mixed_s2h3])
+def test_mixed_inputs_mix_the_factors(make):
+    """S and U do not vanish on the mixed k = 2 inputs, and the normal has
+    a part in each factor, so lambda = <F nu, nu> is not +-1."""
+    h = make()
+    assert h.check_on_model(grid_density=3) < 1e-12
+    spec = am.extract_structure(h)
+    report = st.admit(spec, grid_density=3)
+    assert report.admissible and report.k == 2
+    ev = spec.eval_batch(h.chart.grid(2))
+    assert np.abs(ev.S).max() > 0.1 and np.abs(ev.U).max() > 0.1
+    assert np.abs(ev.lam).max() < 0.9
 
 
 # ---------------------------------------------------------------------------

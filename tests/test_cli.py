@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import oracles
 import pytest
 
 from immersion_forge import bundle as bd
@@ -259,6 +260,63 @@ def test_base_inside_chart_accepted(capsys):
     assert code == 0
     _, summary = parse_jsonl(out)
     assert summary["congruent"] is True
+
+
+@pytest.mark.parametrize("n,density", [
+    *((n, 8) for n in range(1, 6)), (6, 6), (7, 5), (8, 4), (9, 3), (10, 3),
+    *((n, 2) for n in range(11, 18))])
+def test_default_grid_follows_the_dimension(n, density):
+    assert cli.default_grid(n) == density
+    assert density ** n <= cli.MAX_GRID_POINTS or density == 2
+    assert density == 8 or (density + 1) ** n > cli.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_default_grid_is_taken_from_the_input(tmp_path, n):
+    """Without --grid the loaded input's dimension sets the density; the
+    grid itself (6^6 points at n = 6) is never built here."""
+    path = write_doc(tmp_path, oracles.hypersurface_document(
+        oracles.slice_hypersurface(n)))
+    config = argparse.Namespace(input=path, grid=None, base=None)
+    cli.load_checked_input(config)
+    assert config.grid == cli.default_grid(n)
+
+
+def test_default_grid_above_the_point_cap_exits_2(capsys, tmp_path):
+    path = write_doc(tmp_path, oracles.hypersurface_document(
+        oracles.slice_hypersurface(17)))
+    code, out, err = run(capsys, "check", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --grid 2 gives 131072 points on this "
+                          "17-dimensional chart")
+
+
+@pytest.mark.parametrize("command", ["check", "extract", "roundtrip",
+                                     "reconstruct", "audit"])
+@pytest.mark.parametrize("make", [oracles.mixed_s2h2, oracles.mixed_s2h3])
+def test_mixed_k2_inputs_pass_every_command(capsys, tmp_path, make, command):
+    path = write_doc(tmp_path, oracles.hypersurface_document(make()))
+    code, out, _ = run(capsys, command, path, "--grid", "2",
+                       "--step", "0.008")
+    assert code == 0
+    _, summary = parse_jsonl(out)
+    if command in ("check", "extract"):
+        assert summary["admissible"] is True and summary["k"] == 2
+    elif command == "roundtrip":
+        assert summary["congruent"] is True and summary["k"] == 2
+        assert summary["congruence_sup"] < 1e-9
+    elif command == "reconstruct":
+        assert summary["valid"] is True
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(flat_slice_doc()).encode())
+    code, out, err = run(capsys, "check", str(path), "--grid", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
 
 
 def test_invalid_json_exits_2(capsys, tmp_path):

@@ -151,11 +151,21 @@ def test_batch_matches_scalar_pointwise(text, rng):
     ("foo(u1)", 0),
     ("u1 + u9", 5),
     ("(u1", 3),
+    ("\u3000\u3000u9", 6),         # each ideographic space is 3 bytes
+    ("\u3000u1 \ud800", 6),         # a lone surrogate, as JSON can spell
 ])
 def test_parse_errors_carry_byte_offsets(text, offset):
     with pytest.raises(ex.ParseError) as err:
         ex.parse(text, ("u1", "u2"))
     assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("value,text", [(math.inf, "inf"),
+                                        (-math.inf, "-inf"),
+                                        (math.nan, "nan")])
+def test_non_finite_constants_print(value, text):
+    assert repr(ex.const(value)) == f"Expr({text})"
+    assert ex.to_str(ex.mul(ex.var("u1"), ex.const(value))) == f"u1 * {text}"
 
 
 @pytest.mark.parametrize("text", ["(" * 5000 + "u1" + ")" * 5000,
