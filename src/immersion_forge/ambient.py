@@ -14,7 +14,7 @@ Codazzi equations empirically against extracted ground truth.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -52,7 +52,8 @@ class AmbientModel:
         return geo.minkowski_metric(self.dim)
 
     def inner(self, x, y):
-        return geo.minkowski_inner(x, y)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return geo.dot(x[..., :-1], y[..., :-1]) - x[..., -1] * y[..., -1]
 
     def xi1(self, x):
         return np.where(np.arange(self.dim) <= self.k, x, 0.0)
@@ -328,145 +329,106 @@ def solve_congruence(samples1, samples2, k, tol=1e-6):
 # equation audit: which Gauss form / Codazzi sign matches the ambient model
 
 
+# name -> check of a StructureEval, for each equation whose form or sign the
+# audit settles; the first variant of each equation is the one admission runs
+AUDIT_VARIANTS = {
+    "gauss": {
+        # R = (S^S) + (f((X^Y)Z) + (X^Y)fZ)/2
+        "f_outside": st.check_gauss,
+        # R = (S^S) + ((fX^fY)Z + (X^Y)fZ)/2
+        "f_paired": partial(st.check_gauss, paired=True)},
+    "codazzi": {
+        # (nabla_X S)Y - (nabla_Y S)X = +(uX Y - uY X)/2
+        "plus": st.check_codazzi,
+        # the same with the opposite sign
+        "minus": partial(st.check_codazzi, sign=-1.0)}}
+
+
 @dataclass
 class AuditReport:
-    gauss_f_outside: float       # R = (S^S) + (f((X^Y)Z) + (X^Y)fZ)/2
-    gauss_f_paired: float        # R = (S^S) + ((fX^fY)Z + (X^Y)fZ)/2
-    codazzi_plus: float          # (nabla_X S)Y - (nabla_Y S)X = +(uX Y - uY X)/2
-    codazzi_minus: float         # same with opposite sign
+    residuals: dict              # "<equation>_<variant>" -> sup residual
     tolerance: float
 
-    @property
-    def surviving_gauss(self):
-        out = []
-        if self.gauss_f_outside < self.tolerance:
-            out.append("f_outside")
-        if self.gauss_f_paired < self.tolerance:
-            out.append("f_paired")
-        return out
-
-    @property
-    def surviving_codazzi(self):
-        out = []
-        if self.codazzi_plus < self.tolerance:
-            out.append("plus")
-        if self.codazzi_minus < self.tolerance:
-            out.append("minus")
-        return out
-
-    @property
-    def codazzi_indistinguishable(self):
-        return (self.codazzi_plus < self.tolerance
-                and self.codazzi_minus < self.tolerance)
+    def surviving(self, equation):
+        """The variants of ``equation`` below the tolerance, in table order."""
+        return [variant for variant in AUDIT_VARIANTS[equation]
+                if self.residuals[f"{equation}_{variant}"] < self.tolerance]
 
     def to_dict(self):
-        return {
-            "gauss_f_outside": self.gauss_f_outside,
-            "gauss_f_paired": self.gauss_f_paired,
-            "codazzi_plus": self.codazzi_plus,
-            "codazzi_minus": self.codazzi_minus,
-            "surviving_gauss": self.surviving_gauss,
-            "surviving_codazzi": self.surviving_codazzi,
-            "codazzi_indistinguishable": self.codazzi_indistinguishable,
-            "tolerance": self.tolerance,
-        }
+        surviving = {eq: self.surviving(eq) for eq in AUDIT_VARIANTS}
+        # with U = 0 both Codazzi signs give the same equation
+        return {**self.residuals,
+                **{f"surviving_{eq}": v for eq, v in surviving.items()},
+                "codazzi_indistinguishable": len(surviving["codazzi"]) == 2,
+                "tolerance": self.tolerance}
 
 
 def audit_equations(h, grid=None, tol=1e-8, grid_density=8):
-    """Evaluate both Gauss forms and both Codazzi signs on extracted data."""
+    """Evaluate every AUDIT_VARIANTS check on extracted data."""
     spec = extract_structure(h)
     if grid is None:
         grid = spec.chart.grid(grid_density)
-    sup = dict.fromkeys(("gauss_f_outside", "gauss_f_paired",
-                         "codazzi_plus", "codazzi_minus"), 0.0)
+    checks = {f"{equation}_{variant}": check
+              for equation, variants in AUDIT_VARIANTS.items()
+              for variant, check in variants.items()}
+    sup = dict.fromkeys(checks, 0.0)
     for _, chunk in geo.grid_chunks(grid):
         ev = spec.eval_batch(chunk)
-        values = (st.check_gauss(ev), st.check_gauss(ev, paired=True),
-                  st.check_codazzi(ev), st.check_codazzi(ev, sign=-1.0))
-        for key, val in zip(sup, values):
-            sup[key] = max(sup[key], float(val.max()))
-    return AuditReport(**sup, tolerance=tol)
+        for key, check in checks.items():
+            sup[key] = max(sup[key], float(check(ev).max()))
+    return AuditReport(sup, tol)
 
 
 # ---------------------------------------------------------------------------
 # catalog of expression-defined hypersurfaces
 
-
-def _chart(coords, box, base):
-    return geo.Chart(tuple(coords), tuple(tuple(b) for b in box), tuple(base))
-
-
-def _entry_geodesic_slice():
+# name -> (k, coords, box, base point, parametrization x)
+CATALOG = {
     # totally geodesic S^1 x H^1 slice inside S^1 x H^2 (n=2, k=1)
-    chart = _chart(("u1", "u2"), ((-0.9, 0.9), (-0.9, 0.9)), (0.1, -0.2))
-    x = ("cos(u1)", "sin(u1)", "0", "sinh(u2)", "cosh(u2)")
-    return ParametrizedHypersurface(chart, x, k=1, name="geodesic_slice")
-
-
-def _entry_sphere_slice():
+    "geodesic_slice": (
+        1, ("u1", "u2"), ((-0.9, 0.9), (-0.9, 0.9)), (0.1, -0.2),
+        ("cos(u1)", "sin(u1)", "0", "sinh(u2)", "cosh(u2)")),
     # S^1 x H^1 slice inside S^2 x H^1 with sphere-side normal (lambda = +1)
-    chart = _chart(("u1", "u2"), ((-0.9, 0.9), (-0.9, 0.9)), (-0.15, 0.25))
-    x = ("cos(u1)", "sin(u1)", "0", "sinh(u2)", "cosh(u2)")
-    return ParametrizedHypersurface(chart, x, k=2, name="sphere_slice")
-
-
-DIAGONAL_A = 2.0 ** -0.5
-DIAGONAL_B = 2.0 ** -0.5
-
-
-def _entry_diagonal_geodesic(a=DIAGONAL_A, b=DIAGONAL_B):
-    chart = _chart(("u1",), ((-1.0, 1.0),), (0.1,))
-    x = (f"cos({a!r}*u1)", f"sin({a!r}*u1)",
-         f"sinh({b!r}*u1)", f"cosh({b!r}*u1)")
-    return ParametrizedHypersurface(chart, x, k=1, name="diagonal_geodesic")
-
-
-def _entry_diagonal_cylinder(a=0.6, b=0.8):
+    "sphere_slice": (
+        2, ("u1", "u2"), ((-0.9, 0.9), (-0.9, 0.9)), (-0.15, 0.25),
+        ("cos(u1)", "sin(u1)", "0", "sinh(u2)", "cosh(u2)")),
+    # unit-speed geodesic of S^1 x H^1, equal speed in both factors
+    "diagonal_geodesic": (
+        1, ("u1",), ((-1.0, 1.0),), (0.1,),
+        (f"cos({2.0 ** -0.5!r}*u1)", f"sin({2.0 ** -0.5!r}*u1)",
+         f"sinh({2.0 ** -0.5!r}*u1)", f"cosh({2.0 ** -0.5!r}*u1)")),
     # diagonal geodesic swept along the extra hyperbolic direction; the
     # tangent plane mixes the factors so U != 0 (a tilted product slice)
-    chart = _chart(("u1", "u2"), ((-0.8, 0.8), (-0.8, 0.8)), (0.05, -0.1))
-    x = (f"cos({a!r}*u1)", f"sin({a!r}*u1)", "sinh(u2)",
-         f"cosh(u2)*sinh({b!r}*u1)", f"cosh(u2)*cosh({b!r}*u1)")
-    return ParametrizedHypersurface(chart, x, k=1, name="diagonal_cylinder")
-
-
-def _entry_perturbed_geodesic():
+    "diagonal_cylinder": (
+        1, ("u1", "u2"), ((-0.8, 0.8), (-0.8, 0.8)), (0.05, -0.1),
+        ("cos(0.6*u1)", "sin(0.6*u1)", "sinh(u2)",
+         "cosh(u2)*sinh(0.8*u1)", "cosh(u2)*cosh(0.8*u1)")),
     # non-geodesic curve in S^1 x H^1: nonzero shape operator coverage
-    chart = _chart(("u1",), ((-1.0, 1.0),), (0.2,))
-    x = ("cos(u1 + 0.2*sin(u1))", "sin(u1 + 0.2*sin(u1))",
-         "sinh(u1 - 0.1*u1^2)", "cosh(u1 - 0.1*u1^2)")
-    return ParametrizedHypersurface(chart, x, k=1, name="perturbed_geodesic")
-
-
-def _entry_geodesic_slice_n3():
+    "perturbed_geodesic": (
+        1, ("u1",), ((-1.0, 1.0),), (0.2,),
+        ("cos(u1 + 0.2*sin(u1))", "sin(u1 + 0.2*sin(u1))",
+         "sinh(u1 - 0.1*u1^2)", "cosh(u1 - 0.1*u1^2)")),
     # totally geodesic S^1 x H^2 slice inside S^1 x H^3 (n=3, k=1)
-    chart = _chart(("u1", "u2", "u3"),
-                   ((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4)), (0.05, -0.1, 0.1))
-    x = ("cos(u1)", "sin(u1)", "0", "u2", "u3", "sqrt(1 + u2^2 + u3^2)")
-    return ParametrizedHypersurface(chart, x, k=1, name="geodesic_slice_n3")
-
-
-CATALOG_BUILDERS = {
-    "geodesic_slice": _entry_geodesic_slice,
-    "sphere_slice": _entry_sphere_slice,
-    "diagonal_geodesic": _entry_diagonal_geodesic,
-    "diagonal_cylinder": _entry_diagonal_cylinder,
-    "perturbed_geodesic": _entry_perturbed_geodesic,
-    "geodesic_slice_n3": _entry_geodesic_slice_n3,
+    "geodesic_slice_n3": (
+        1, ("u1", "u2", "u3"),
+        ((-0.4, 0.4), (-0.4, 0.4), (-0.4, 0.4)), (0.05, -0.1, 0.1),
+        ("cos(u1)", "sin(u1)", "0", "u2", "u3", "sqrt(1 + u2^2 + u3^2)")),
 }
 
 CATALOG_ALIASES = {"tilted_slice": "diagonal_cylinder"}
 
 
 def catalog_names():
-    return sorted(CATALOG_BUILDERS)
+    return sorted(CATALOG)
 
 
 def catalog_entry(name):
     key = CATALOG_ALIASES.get(name, name)
     try:
-        return CATALOG_BUILDERS[key]()
+        k, coords, box, base, x = CATALOG[key]
     except KeyError:
         raise AmbientError(
             f"unknown catalog entry {name!r}; known: {catalog_names()}"
         ) from None
+    return ParametrizedHypersurface(geo.Chart(coords, box, base), x, k,
+                                    name=key)

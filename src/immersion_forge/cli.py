@@ -121,10 +121,10 @@ def load_document(doc):
     if k is not None and not 1 <= k <= n:
         raise InputError(f"field 'k' must lie in 1..{n}")
     if kind == "structure":
-        for key in ("g", "S", "f", "U", "lambda"):
+        depth = {"g": 2, "S": 2, "f": 2, "U": 1, "lambda": 0}
+        for key in depth:
             if key not in fields:
                 raise InputError(f"structure input needs fields.{key}")
-        depth = {"g": 2, "S": 2, "f": 2, "U": 1, "lambda": 0}
         parsed = {key: _parse_exprs(fields[key], coords, key, d)
                   for key, d in depth.items()}
         try:
@@ -382,12 +382,19 @@ def cmd_audit(config):
     return 0
 
 
+# name -> (command, help text, default --tol)
 COMMANDS = {
-    "check": cmd_check,
-    "reconstruct": cmd_reconstruct,
-    "extract": cmd_extract,
-    "roundtrip": cmd_roundtrip,
-    "audit": cmd_audit,
+    "check": (cmd_check, "run the compatibility checks on a structure",
+              st.DEFAULT_TOLERANCE),
+    "reconstruct": (cmd_reconstruct, "rebuild the immersion and validate it",
+                    st.DEFAULT_TOLERANCE),
+    "extract": (cmd_extract,
+                "read the structure off a parametrized hypersurface",
+                st.DEFAULT_TOLERANCE),
+    "roundtrip": (cmd_roundtrip,
+                  "extract, rebuild and compare with the original", 1e-6),
+    "audit": (cmd_audit,
+              "evaluate competing equation variants on ground truth", 1e-8),
 }
 
 
@@ -398,22 +405,11 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "check": "run the compatibility checks on a structure",
-        "reconstruct": "rebuild the immersion and validate it",
-        "extract": "read the structure off a parametrized hypersurface",
-        "roundtrip": "extract, rebuild and compare with the original",
-        "audit": "evaluate competing equation variants on ground truth",
-    }
-    tolerance = {"check": st.DEFAULT_TOLERANCE,
-                 "reconstruct": st.DEFAULT_TOLERANCE,
-                 "extract": st.DEFAULT_TOLERANCE,
-                 "roundtrip": 1e-6, "audit": 1e-8}
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=help_text[name])
+    for name, (_, help_text, tol) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("input",
                        help="JSON input file or catalog:NAME reference")
-        p.add_argument("--tol", type=float, default=tolerance[name],
+        p.add_argument("--tol", type=float, default=tol,
                        help="residual tolerance (default %(default)g)")
         p.add_argument("--grid", type=int, default=None,
                        help="grid density per axis (default: the largest "
@@ -461,7 +457,7 @@ def main(argv=None):
     config = build_parser().parse_args(argv)
     try:
         validate_config(config)
-        return COMMANDS[config.command](config)
+        return COMMANDS[config.command][0](config)
     except (InputError, am.NotOnModelError, ex.ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -87,8 +87,14 @@ def _mk(kind, op, args, value):
     return node
 
 
+# NaN != NaN, and a NaN hashes by identity: every NaN constant is keyed by
+# this one object so that it interns to one node
+_NAN = float("nan")
+
+
 def const(v):
-    return _mk("const", None, (), float(v))
+    v = float(v)
+    return _mk("const", None, (), _NAN if math.isnan(v) else v)
 
 
 ZERO = const(0.0)

@@ -244,9 +244,3 @@ def minkowski_metric(dim):
     J = np.eye(dim)
     J[-1, -1] = -1.0
     return J
-
-
-def minkowski_inner(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return dot(x[..., :-1], y[..., :-1]) - x[..., -1] * y[..., -1]

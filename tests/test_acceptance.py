@@ -133,12 +133,14 @@ def test_criterion_7_equation_audit(capsys, catalog_structures):
     a1 = am.audit_equations(h1, grid_density=4)
     h2, _ = catalog_structures["diagonal_cylinder"]
     a2 = am.audit_equations(h2, grid_density=4)
-    ok = (a1.gauss_f_outside < 1e-8 and a1.gauss_f_paired > 0.1
-          and a2.codazzi_plus < 1e-8 and a2.codazzi_minus > 0.1)
+    r1, r2 = a1.residuals, a2.residuals
+    ok = (r1["gauss_f_outside"] < 1e-8 and r1["gauss_f_paired"] > 0.1
+          and r2["codazzi_plus"] < 1e-8 and r2["codazzi_minus"] > 0.1)
     report(capsys, 7, "equation audit", ok,
-           f"Gauss f-outside {a1.gauss_f_outside:.2e} < 1e-8, f-paired "
-           f"{a1.gauss_f_paired:.2e} > 0.1; Codazzi + {a2.codazzi_plus:.2e} "
-           f"< 1e-8 on U != 0, - {a2.codazzi_minus:.2e} > 0.1")
+           f"Gauss f-outside {r1['gauss_f_outside']:.2e} < 1e-8, f-paired "
+           f"{r1['gauss_f_paired']:.2e} > 0.1; Codazzi + "
+           f"{r2['codazzi_plus']:.2e} < 1e-8 on U != 0, - "
+           f"{r2['codazzi_minus']:.2e} > 0.1")
 
 
 def test_criterion_8_k_determination(capsys, catalog_structures):

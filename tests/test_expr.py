@@ -168,6 +168,15 @@ def test_non_finite_constants_print(value, text):
     assert ex.to_str(ex.mul(ex.var("u1"), ex.const(value))) == f"u1 * {text}"
 
 
+def test_every_nan_constant_is_one_node():
+    node = ex.const(float("nan"))
+    before = len(ex._interned)
+    nodes = {ex.const(float("nan")) for _ in range(1000)}
+    assert nodes == {node}
+    assert ex.const(-math.nan) is node
+    assert len(ex._interned) - before <= 1
+
+
 @pytest.mark.parametrize("text", ["(" * 5000 + "u1" + ")" * 5000,
                                   "-" * 5000 + "u1"],
                          ids=["5000-parentheses", "5000-unary-minuses"])

@@ -7,6 +7,7 @@ import oracles
 import pytest
 from oracles import chart_grid, wedge
 
+from immersion_forge import ambient as am
 from immersion_forge import expr as ex
 from immersion_forge import geometry as geo
 
@@ -202,10 +203,11 @@ def test_wedge_identities(rng):
 
 
 def test_minkowski_inner():
-    x = np.array([1.0, 2.0, 3.0])
-    assert geo.minkowski_inner(x, x) == pytest.approx(1 + 4 - 9)
-    J = geo.minkowski_metric(3)
-    assert geo.minkowski_inner(x, x) == pytest.approx(x @ J @ x)
+    model = am.AmbientModel(1, 1)
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    assert model.inner(x, x) == pytest.approx(1 + 4 + 9 - 16)
+    J = geo.minkowski_metric(4)
+    assert model.inner(x, x) == pytest.approx(x @ J @ x)
 
 
 class TestChart:
