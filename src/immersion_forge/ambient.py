@@ -175,16 +175,17 @@ class ParametrizedHypersurface:
     def _sample_evaluator(self):
         return self._fields()
 
-    def check_on_model(self, grid=None, tol=1e-10, grid_density=8):
-        """Raise unless the image stays on the model with rank-n jacobian.
+    def check_on_model(self, grid=None, tol=1e-10, grid_density=None):
+        """Raise unless the image stays on the model with rank-n jacobian;
+        return the largest on-model residual.
 
         The error names the first failing grid point; at that point the
         residual is tested first, then the sheet, then the rank.
         """
-        if grid is None:
-            grid = self.chart.grid(grid_density)
-        worst = 0.0
-        for start, chunk in geo.grid_chunks(grid):
+        grid = (self.chart.grid(grid_density) if grid is None
+                else np.reshape(grid, (len(grid), self.n)))
+
+        def residuals(_, chunk):
             vals = self._sample_evaluator(chunk)
             x = vals["x"]
             res = self.model.on_model_residual(x)
@@ -198,8 +199,10 @@ class ParametrizedHypersurface:
                 text = next(text for fails, text in checks if fails[j])
                 raise NotOnModelError(
                     text.format(tuple(map(float, chunk[j])), res[j]))
-            worst = max(worst, float(res.max()))
-        return worst
+            return {"on_model": res}
+
+        res = geo.chunk_arrays(residuals, grid)["on_model"]
+        return float(res.max(initial=0.0))
 
     @cached_property
     def normal_exprs(self):
@@ -363,20 +366,21 @@ class AuditReport:
                 "tolerance": self.tolerance}
 
 
-def audit_equations(h, grid=None, tol=1e-8, grid_density=8):
+def audit_equations(h, grid=None, tol=1e-8, grid_density=None):
     """Evaluate every AUDIT_VARIANTS check on extracted data."""
     spec = extract_structure(h)
-    if grid is None:
-        grid = spec.chart.grid(grid_density)
+    grid = (spec.chart.grid(grid_density) if grid is None
+            else np.reshape(grid, (len(grid), h.n)))
     checks = {f"{equation}_{variant}": check
               for equation, variants in AUDIT_VARIANTS.items()
               for variant, check in variants.items()}
-    sup = dict.fromkeys(checks, 0.0)
-    for _, chunk in geo.grid_chunks(grid):
+
+    def residuals(_, chunk):
         ev = spec.eval_batch(chunk)
-        for key, check in checks.items():
-            sup[key] = max(sup[key], float(check(ev).max()))
-    return AuditReport(sup, tol)
+        return {key: check(ev) for key, check in checks.items()}
+
+    return AuditReport({key: float(col.max(initial=0.0)) for key, col in
+                        geo.chunk_arrays(residuals, grid).items()}, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,7 @@ def catalog_entry(name):
         k, coords, box, base, x = CATALOG[key]
     except KeyError:
         raise AmbientError(
-            f"unknown catalog entry {name!r}; known: {catalog_names()}"
-        ) from None
+            f"unknown catalog entry {name!r}; known: "
+            f"{sorted([*CATALOG, *CATALOG_ALIASES])}") from None
     return ParametrizedHypersurface(geo.Chart(coords, box, base), x, k,
                                     name=key)

@@ -62,17 +62,6 @@ class InputError(Exception):
     """Malformed input document or configuration (exit code 2)."""
 
 
-# largest grid in points, --grid to the power of the chart dimension
-MAX_GRID_POINTS = 100_000
-
-
-def default_grid(n):
-    """The --grid of an n-dimensional chart when none is given: the largest
-    density in 2..8 with at most MAX_GRID_POINTS points, else 2."""
-    return max((d for d in range(2, 9) if d ** n <= MAX_GRID_POINTS),
-               default=2)
-
-
 # ---------------------------------------------------------------------------
 # input documents
 
@@ -171,7 +160,7 @@ def load_input(source):
     return load_document(doc)
 
 
-def as_structure(obj, grid_density=8, grid=None):
+def as_structure(obj, grid_density=None, grid=None):
     """Structure view of an input: extract when given a hypersurface, after
     checking it on-model over ``grid`` (default: the chart grid of
     ``grid_density``)."""
@@ -182,18 +171,21 @@ def as_structure(obj, grid_density=8, grid=None):
 
 
 def load_checked_input(config):
-    """Load the input, then reject a --grid or --base that does not fit its
-    chart, before any grid is built; with no --grid, take the chart's
-    ``default_grid``."""
+    """(input, grid) of the command: the input is loaded, then a --grid or
+    --base that does not fit its chart, a --step that ``bundle.step_error``
+    refuses for it when the command transports, and an input of the wrong
+    kind are rejected, in that order, before the grid is built.  With no
+    --grid, the chart's ``geometry.default_grid`` is taken."""
+    kind, transports = COMMANDS[config.command][3:]
     obj = load_input(config.input)
     chart = obj.chart
     if config.grid is None:
-        config.grid = default_grid(chart.n)
+        config.grid = geo.default_grid(chart.n)
     points = config.grid ** chart.n
-    if points > MAX_GRID_POINTS:
+    if points > geo.MAX_GRID_POINTS:
         raise InputError(f"--grid {config.grid} gives {points} points on this "
                          f"{chart.n}-dimensional chart; the cap is "
-                         f"{MAX_GRID_POINTS}")
+                         f"{geo.MAX_GRID_POINTS}")
     base = config.base
     if base is not None and len(base) != chart.n:
         raise InputError(f"--base has {len(base)} coordinates, "
@@ -201,13 +193,12 @@ def load_checked_input(config):
     if base is not None and not chart.contains(base):
         raise InputError(f"--base {base} lies outside the chart box "
                          f"{[list(iv) for iv in chart.box]}")
-    return obj
-
-
-def as_hypersurface(obj):
-    if not isinstance(obj, am.ParametrizedHypersurface):
+    error = transports and bd.step_error(chart.box, config.step)
+    if error:
+        raise InputError(error)
+    if not isinstance(obj, kind):
         raise InputError("this command needs a hypersurface input")
-    return obj
+    return obj, chart.grid(config.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +285,11 @@ def _sample_table(chart, samples):
                   [(name, col, None) for name, col in zip(names, values)])
 
 
-def load_transport_input(config):
-    """``load_checked_input`` for the commands that transport: it also
-    rejects a --step that ``bundle.step_error`` refuses for the chart."""
-    obj = load_checked_input(config)
-    error = bd.step_error(obj.chart.box, config.step)
-    if error is not None:
-        raise InputError(error)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_check(config):
-    obj = load_checked_input(config)
-    grid = obj.chart.grid(config.grid)
+def cmd_check(config, obj, grid):
     spec = as_structure(obj, grid=grid)
     report = st.admit(spec, grid=grid, tol=config.tol)
 
@@ -321,9 +300,7 @@ def cmd_check(config):
     return 0 if report.admissible else 1
 
 
-def cmd_reconstruct(config):
-    obj = load_transport_input(config)
-    grid = obj.chart.grid(config.grid)
+def cmd_reconstruct(config, obj, grid):
     spec = as_structure(obj, grid=grid)
     admission = st.admit(spec, grid=grid, tol=config.tol)
     if not admission.admissible:
@@ -335,9 +312,7 @@ def cmd_reconstruct(config):
     return 0 if report.valid else 1
 
 
-def cmd_extract(config):
-    h = as_hypersurface(load_checked_input(config))
-    grid = h.chart.grid(config.grid)
+def cmd_extract(config, h, grid):
     spec = as_structure(h, grid=grid)
     report = st.admit(spec, grid=grid, tol=config.tol)
     samples = am.hypersurface_samples(h, grid)
@@ -346,9 +321,7 @@ def cmd_extract(config):
     return 0 if report.admissible else 1
 
 
-def cmd_roundtrip(config):
-    h = as_hypersurface(load_transport_input(config))
-    grid = h.chart.grid(config.grid)
+def cmd_roundtrip(config, h, grid):
     spec = as_structure(h, grid=grid)
     admission = st.admit(spec, grid=grid)
     if not admission.admissible:
@@ -373,28 +346,29 @@ def cmd_roundtrip(config):
     return 0 if cong.congruent else 1
 
 
-def cmd_audit(config):
-    h = as_hypersurface(load_checked_input(config))
-    grid = h.chart.grid(config.grid)
+def cmd_audit(config, h, grid):
     h.check_on_model(grid=grid)
     report = am.audit_equations(h, grid=grid, tol=config.tol)
     emit(config, report.to_dict())
     return 0
 
 
-# name -> (command, help text, default --tol)
+# name -> (command, help text, default --tol, the input type it takes,
+# whether it transports); ``object`` takes a structure or a hypersurface
 COMMANDS = {
     "check": (cmd_check, "run the compatibility checks on a structure",
-              st.DEFAULT_TOLERANCE),
+              st.DEFAULT_TOLERANCE, object, False),
     "reconstruct": (cmd_reconstruct, "rebuild the immersion and validate it",
-                    st.DEFAULT_TOLERANCE),
+                    st.DEFAULT_TOLERANCE, object, True),
     "extract": (cmd_extract,
                 "read the structure off a parametrized hypersurface",
-                st.DEFAULT_TOLERANCE),
+                st.DEFAULT_TOLERANCE, am.ParametrizedHypersurface, False),
     "roundtrip": (cmd_roundtrip,
-                  "extract, rebuild and compare with the original", 1e-6),
+                  "extract, rebuild and compare with the original", 1e-6,
+                  am.ParametrizedHypersurface, True),
     "audit": (cmd_audit,
-              "evaluate competing equation variants on ground truth", 1e-8),
+              "evaluate competing equation variants on ground truth", 1e-8,
+              am.ParametrizedHypersurface, False),
 }
 
 
@@ -405,7 +379,7 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, tol) in COMMANDS.items():
+    for name, (_, help_text, tol, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("input",
                        help="JSON input file or catalog:NAME reference")
@@ -457,14 +431,13 @@ def main(argv=None):
     config = build_parser().parse_args(argv)
     try:
         validate_config(config)
-        return COMMANDS[config.command][0](config)
-    except (InputError, am.NotOnModelError, ex.ExprError) as err:
+        return COMMANDS[config.command][0](config, *load_checked_input(config))
+    except (InputError, ex.ExprError, st.StructureError,
+            rc.ReconstructionError, am.AmbientError, geo.GeometryError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (st.StructureError, rc.ReconstructionError,
-            am.AmbientError, geo.GeometryError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        # malformed or off-model input exits 2, a failed check 1
+        return 2 if isinstance(err, (InputError, am.NotOnModelError,
+                                     ex.ExprError)) else 1
 
 
 if __name__ == "__main__":

@@ -29,6 +29,15 @@ class SingularMetricError(GeometryError):
 CONTAINS_SLACK = 1e-12
 # share of each box side that Chart.grid keeps clear at either end
 GRID_MARGIN = 0.01
+# largest default grid in points, the density to the power of the dimension
+MAX_GRID_POINTS = 100_000
+
+
+def default_grid(n):
+    """The grid density of an n-dimensional chart when none is given: the
+    largest in 2..8 with at most MAX_GRID_POINTS points, else 2."""
+    return max((d for d in range(2, 9) if d ** n <= MAX_GRID_POINTS),
+               default=2)
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,12 @@ class Chart:
             lo - CONTAINS_SLACK <= p <= hi + CONTAINS_SLACK
             for (lo, hi), p in zip(self.box, point))
 
-    def grid(self, density=8):
+    def grid(self, density=None):
         """(density ** n, n) array of a uniform grid, ``density`` values per
-        axis over the box shrunk by GRID_MARGIN of each side, row-major."""
+        axis over the box shrunk by GRID_MARGIN of each side, row-major; the
+        density defaults to ``default_grid(n)``."""
+        if density is None:
+            density = default_grid(self.n)
         if density < 2:
             raise GeometryError("grid density must be >= 2")
         axes = []
@@ -121,17 +133,14 @@ def compile_fields(fields, coords):
 GRID_CHUNK = 1024
 
 
-def grid_chunks(points):
-    """(start, array of the next GRID_CHUNK or fewer points) in order."""
-    for start in range(0, len(points), GRID_CHUNK):
-        yield start, np.asarray(points[start:start + GRID_CHUNK], dtype=float)
-
-
 def chunk_arrays(fn, points):
-    """The dicts of arrays ``fn(start, chunk)`` gives, joined over chunks;
+    """The dicts of arrays ``fn(start, chunk)`` gives on the GRID_CHUNK or
+    fewer points from row ``start`` on, joined over the chunks in order;
     ``fn(0, points)`` when the (0, n) ``points`` make no chunk."""
-    parts = ([fn(start, chunk) for start, chunk in grid_chunks(points)]
-             or [fn(0, np.asarray(points, dtype=float))])
+    points = np.asarray(points, dtype=float)
+    parts = ([fn(start, points[start:start + GRID_CHUNK])
+              for start in range(0, len(points), GRID_CHUNK)]
+             or [fn(0, points)])
     return {key: np.concatenate([part[key] for part in parts])
             for key in parts[0]}
 
@@ -189,13 +198,9 @@ def _sym(dg):
     return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
-def calculus_from_values(point, g, dg, ddg):
-    """Assemble Christoffels and curvature from exact g, dg, ddg values.
-
-    The arrays carry a leading point axis and ``point`` holds the points,
-    which a singular metric is reported at.
-    """
-    check_positive_definite(g, point)
+def calculus_from_values(g, dg, ddg):
+    """Assemble Christoffels and curvature from exact g, dg, ddg values with
+    a leading point axis; g must be positive definite at every point."""
     ginv = np.linalg.inv(g)
     gamma = christoffels_from_values(g, dg, ginv)
     # d_p g^{ml} = -(ginv dg[p] ginv)^{ml}

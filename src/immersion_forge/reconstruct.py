@@ -175,7 +175,7 @@ class Immersion:
 
 
 def immerse(spec, points=None, base=None, step=bd.DEFAULT_STEP,
-            grid_density=8, base_frame=None, k=None):
+            grid_density=None, base_frame=None, k=None):
     """Reconstruct the immersion at the given points (default: chart grid)."""
     imm = Immersion(spec, k=k, base=base, step=step, base_frame=base_frame)
     if points is None:
@@ -223,7 +223,7 @@ DEFAULT_VALIDATION_TOLERANCES = {
 
 
 def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
-                     grid_density=8, admission=None):
+                     grid_density=None, admission=None):
     """Reconstruct and check the immersion against the model geometry.
 
     Refuses structures that fail admission.  Checks, as sups over the

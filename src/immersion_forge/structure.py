@@ -99,12 +99,14 @@ class StructureSpec:
     def eval_batch(self, points):
         """StructureEval of the points (P, n) along a leading axis; raises
         SingularMetricError naming the first point with a singular metric."""
-        return self._eval_from_values(points, self._full_evaluator(points))
+        v = self._full_evaluator(points)
+        geo.check_positive_definite(v["g"], points)
+        return self._eval_from_values(v)
 
-    def _eval_from_values(self, points, v):
-        """StructureEval from the evaluator's values ``v`` (consumed)."""
-        calc = geo.calculus_from_values(points, v.pop("g"), v.pop("dg"),
-                                        v.pop("ddg"))
+    def _eval_from_values(self, v):
+        """StructureEval from the evaluator's values ``v`` (consumed), at
+        points where g is positive definite."""
+        calc = geo.calculus_from_values(v.pop("g"), v.pop("dg"), v.pop("ddg"))
         return StructureEval(calc=calc, **v)
 
     def eval_at(self, point):
@@ -155,8 +157,7 @@ def _pair_sup(norms, points_ndim):
     after the leading point axes; 0 when there are no pairs."""
     i, j = np.triu_indices(norms.shape[-1], 1)
     picked = norms[..., i, j]
-    return picked.reshape(picked.shape[:points_ndim] + (-1,)).max(
-        -1, initial=0.0)
+    return picked.max(tuple(range(points_ndim, picked.ndim)), initial=0.0)
 
 
 def check_algebraic(ev):
@@ -299,42 +300,36 @@ class CompatibilityReport:
         }
 
 
-def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
+def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=None):
     """Run all compatibility checks over a grid and aggregate a verdict.
 
     The grid is evaluated in batches of ``geometry.GRID_CHUNK`` points;
     points where the metric is singular are skipped, and their rows of
     ``values`` hold NaN.
     """
-    if grid is None:
-        grid = spec.chart.grid(grid_density)
     n = spec.n
+    grid = (spec.chart.grid(grid_density) if grid is None
+            else np.reshape(grid, (len(grid), n)))
     eye = np.eye(n)
-    reasons = []
-    values = {key: np.full(len(grid), np.nan) for key in RESIDUAL_KEYS[:-1]}
-    traces = np.full(len(grid), np.nan)     # tr f + lambda
-    usable = np.zeros(len(grid), dtype=bool)
-    first = None            # StructureEval of grid[0] unless it is skipped
-    f_identity_everywhere = True
 
-    for start, chunk in geo.grid_chunks(grid):
+    def evaluate(_, chunk):
         v = spec._full_evaluator(chunk)
         ok = geo.definite_points(v["g"])
-        if not ok.any():
-            continue
-        idx = start + np.flatnonzero(ok)
-        ev = spec._eval_from_values(chunk[ok],
-                                    {name: arr[ok] for name, arr in v.items()})
-        if start == 0 and ok[0]:
-            first = geo.point_of(ev, 0)
-        for key, val in point_residuals(ev).items():
-            values[key][idx] = val
-        traces[idx] = trace_invariant(ev)
-        usable[idx] = True
-        f_deviation = np.minimum(np.abs(ev.f - eye).max((-2, -1)),
-                                 np.abs(ev.f + eye).max((-2, -1)))
-        f_identity_everywhere &= not np.any(f_deviation > tol)
+        ev = spec._eval_from_values({name: arr[ok] for name, arr in v.items()})
+        cols = {**point_residuals(ev), "trace": trace_invariant(ev),
+                # the distance of f from +Id or -Id, whichever is nearer
+                "f_deviation": np.minimum(np.abs(ev.f - eye).max((-2, -1)),
+                                          np.abs(ev.f + eye).max((-2, -1)))}
+        out = {"usable": ok}
+        for key, col in cols.items():
+            out[key] = np.full(len(chunk), np.nan)
+            out[key][ok] = col
+        return out
 
+    values = geo.chunk_arrays(evaluate, grid)
+    usable, traces, f_deviation = (values.pop(key) for key in
+                                   ("usable", "trace", "f_deviation"))
+    reasons = []
     skipped = [tuple(map(float, grid[i])) for i in np.flatnonzero(~usable)]
     if not usable.any():
         return CompatibilityReport(
@@ -344,10 +339,8 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
 
     k = None
     try:
-        # k is read at the first grid point from the values evaluated above;
         # a singular first point is reported by determine_k itself
-        k = determine_k(spec, tuple(map(float, grid[0])), first,
-                        tol=max(tol, 1e-8))
+        k = determine_k(spec, tuple(map(float, grid[0])), tol=max(tol, 1e-8))
     except (StructureError, SingularMetricError) as exc:
         reasons.append(str(exc))
     rows = np.flatnonzero(usable)
@@ -364,7 +357,7 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=8):
         sup[key] = float(col[at])
         worst[key] = tuple(map(float, grid[rows[at]]))
 
-    if f_identity_everywhere:
+    if not np.any(f_deviation > tol):
         reasons.append("excluded case f = +/-Id")
     for key in RESIDUAL_KEYS:
         if sup[key] > tol:

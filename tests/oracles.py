@@ -720,8 +720,9 @@ class MetricField:
 
     def calculus_at(self, point):
         v = self._evaluator([point])
+        geo.check_positive_definite(v["g"], [tuple(point)])
         return geo.point_of(geo.calculus_from_values(
-            [tuple(point)], v["g"], v["dg"], v["ddg"]), 0)
+            v["g"], v["dg"], v["ddg"]), 0)
 
 
 def eigen_multiplicity_k(ev, tol=1e-6):

@@ -487,8 +487,11 @@ def test_audit_uses_the_admission_equations(name, catalog_structures):
 
 def test_catalog_aliases():
     assert am.catalog_entry("tilted_slice").name == "diagonal_cylinder"
-    with pytest.raises(am.AmbientError, match="unknown catalog entry"):
+    with pytest.raises(am.AmbientError, match="unknown catalog entry") as err:
         am.catalog_entry("nope")
+    # the message lists every accepted name, the aliases included
+    known = sorted([*am.catalog_names(), "tilted_slice"])
+    assert str(err.value).endswith(f"; known: {known}")
 
 
 # ---------------------------------------------------------------------------

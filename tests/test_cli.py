@@ -13,6 +13,7 @@ import pytest
 
 from immersion_forge import bundle as bd
 from immersion_forge import cli
+from immersion_forge import geometry as geo
 from immersion_forge import structure as st
 
 
@@ -251,7 +252,7 @@ def test_grid_above_point_cap_exits_2(capsys, command, source, grid, points):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: --grid {grid} gives {points} points")
-    assert f"the cap is {cli.MAX_GRID_POINTS}" in err
+    assert f"the cap is {geo.MAX_GRID_POINTS}" in err
 
 
 def test_base_inside_chart_accepted(capsys):
@@ -266,20 +267,21 @@ def test_base_inside_chart_accepted(capsys):
     *((n, 8) for n in range(1, 6)), (6, 6), (7, 5), (8, 4), (9, 3), (10, 3),
     *((n, 2) for n in range(11, 18))])
 def test_default_grid_follows_the_dimension(n, density):
-    assert cli.default_grid(n) == density
-    assert density ** n <= cli.MAX_GRID_POINTS or density == 2
-    assert density == 8 or (density + 1) ** n > cli.MAX_GRID_POINTS
+    assert geo.default_grid(n) == density
+    assert density ** n <= geo.MAX_GRID_POINTS or density == 2
+    assert density == 8 or (density + 1) ** n > geo.MAX_GRID_POINTS
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_default_grid_is_taken_from_the_input(tmp_path, n):
     """Without --grid the loaded input's dimension sets the density; the
-    grid itself (6^6 points at n = 6) is never built here."""
+    input is never checked on-model or extracted here."""
     path = write_doc(tmp_path, oracles.hypersurface_document(
         oracles.slice_hypersurface(n)))
-    config = argparse.Namespace(input=path, grid=None, base=None)
+    config = argparse.Namespace(command="check", input=path, grid=None,
+                                base=None, step=bd.DEFAULT_STEP)
     cli.load_checked_input(config)
-    assert config.grid == cli.default_grid(n)
+    assert config.grid == geo.default_grid(n)
 
 
 def test_default_grid_above_the_point_cap_exits_2(capsys, tmp_path):
@@ -433,12 +435,11 @@ def test_widest_side_steps_cap(tmp_path, high, accepted):
                                                       [-0.9, high]]))
     config = cli.build_parser().parse_args(
         ["reconstruct", path, "--step", "1e-6"])
-    cli.load_checked_input(config)
     if accepted:
-        cli.load_transport_input(config)
+        cli.load_checked_input(config)
     else:
         with pytest.raises(cli.InputError, match="the cap is 10000000"):
-            cli.load_transport_input(config)
+            cli.load_checked_input(config)
 
 
 IMPORT_PROBE = """
@@ -498,6 +499,33 @@ def test_extract_requires_hypersurface(capsys, tmp_path):
     code, _, err = run(capsys, "extract", path)
     assert code == 2
     assert "hypersurface" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_structure_input_is_refused_by_the_hypersurface_commands(
+        capsys, tmp_path, command):
+    path = write_doc(tmp_path, flat_slice_doc())
+    code, out, err = run(capsys, command, path, "--grid", "2",
+                         "--step", "0.01")
+    if command in ("extract", "roundtrip", "audit"):
+        assert (code, out) == (2, "")
+        assert err == "error: this command needs a hypersurface input\n"
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("roundtrip", "error: step 0.001 takes 2e+07 RK4 steps"),
+    ("reconstruct", "error: step 0.001 takes 2e+07 RK4 steps"),
+    ("extract", "error: this command needs a hypersurface input"),
+    ("audit", "error: this command needs a hypersurface input")])
+def test_step_cap_is_reported_before_the_input_kind(
+        capsys, tmp_path, command, message):
+    doc = flat_slice_doc(domain=[[-10001.0, 10001.0], [-0.9, 0.9]])
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc),
+                         "--grid", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 def test_extract_off_model_exits_2(capsys, tmp_path):

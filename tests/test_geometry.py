@@ -230,6 +230,14 @@ class TestChart:
             assert grid.shape == (density ** n, n)
             assert grid.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_default_density_follows_the_dimension(self, n):
+        chart = geo.Chart(tuple(f"u{i}" for i in range(1, n + 1)),
+                          ((-0.5, 0.5),) * n, (0.0,) * n)
+        density = geo.default_grid(n)
+        assert density == (8 if n <= 5 else 6)
+        assert chart.grid().tobytes() == chart.grid(density).tobytes()
+
     def test_grids_share_endpoints_across_densities(self):
         chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
         coarse = {tuple(map(float, p)) for p in chart.grid(2)}

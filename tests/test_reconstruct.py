@@ -329,8 +329,11 @@ def test_congruence_verdict_reads_its_tolerance(catalog_structures):
                                    tol=1e-20).congruent
 
 
-@pytest.mark.parametrize("name", ["geodesic_slice", "geodesic_slice_n3"])
+@pytest.mark.parametrize("name", ["geodesic_slice", "geodesic_slice_n3",
+                                  "diagonal_geodesic"])
 def test_empty_point_sets_give_empty_samples(name, catalog_structures):
+    """Every sweep over a point set also takes an empty one: no samples, no
+    usable grid point, zero sups."""
     h, spec = catalog_structures[name]
     n = spec.n
     imm, immersed = rc.immerse(spec, points=[], step=1e-2)
@@ -339,3 +342,13 @@ def test_empty_point_sets_give_empty_samples(name, catalog_structures):
         assert samples.points.shape == (0, n)
         assert samples.psi.shape == samples.normal.shape == (0, n + 3)
         assert samples.dpsi.shape == (0, n + 3, n)
+    report = st.admit(spec, grid=[])
+    assert not report.admissible and report.k is None
+    assert report.reasons == ["no usable grid points"]
+    assert report.residuals == dict.fromkeys(st.RESIDUAL_KEYS, 0.0)
+    assert report.usable.shape == (0,)
+    assert all(col.shape == (0,) for col in report.values.values())
+    assert am.audit_equations(h, grid=[]).residuals == dict.fromkeys(
+        ("gauss_f_outside", "gauss_f_paired", "codazzi_plus",
+         "codazzi_minus"), 0.0)
+    assert h.check_on_model(grid=[]) == 0.0
