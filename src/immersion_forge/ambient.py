@@ -183,7 +183,7 @@ class ParametrizedHypersurface:
         residual is tested first, then the sheet, then the rank.
         """
         grid = (self.chart.grid(grid_density) if grid is None
-                else np.reshape(grid, (len(grid), self.n)))
+                else geo.as_points(grid, self.n))
 
         def residuals(_, chunk):
             vals = self._sample_evaluator(chunk)
@@ -263,7 +263,7 @@ def hypersurface_samples(h, points):
     """Ground-truth immersion samples straight from the parametrization."""
     from .reconstruct import Samples
 
-    points = np.asarray(points, dtype=float).reshape(-1, h.n)
+    points = geo.as_points(points, h.n)
     vals = geo.chunk_arrays(lambda _, chunk: h._psi_evaluator(chunk), points)
     return Samples(points=points, psi=vals["x"], normal=vals["nu"],
                    dpsi=vals["dx"])
@@ -370,7 +370,7 @@ def audit_equations(h, grid=None, tol=1e-8, grid_density=None):
     """Evaluate every AUDIT_VARIANTS check on extracted data."""
     spec = extract_structure(h)
     grid = (spec.chart.grid(grid_density) if grid is None
-            else np.reshape(grid, (len(grid), h.n)))
+            else geo.as_points(grid, h.n))
     checks = {f"{equation}_{variant}": check
               for equation, variants in AUDIT_VARIANTS.items()
               for variant, check in variants.items()}

@@ -25,6 +25,10 @@ class SingularMetricError(GeometryError):
     """Metric not positive definite at a sample point."""
 
 
+class PointSetError(GeometryError):
+    """A point set that is not P points of the chart's dimension."""
+
+
 # tolerance of Chart.contains at the faces of the box
 CONTAINS_SLACK = 1e-12
 # share of each box side that Chart.grid keeps clear at either end
@@ -133,6 +137,21 @@ def compile_fields(fields, coords):
 GRID_CHUNK = 1024
 
 
+def as_points(points, n):
+    """``points`` as a (P, n) float array, the empty ``[]`` as (0, n); raises
+    PointSetError naming the dimension expected and the shape given."""
+    expected = f"points must have shape (P, {n}) in a chart of dimension {n}"
+    try:
+        points = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise PointSetError(f"{expected}: {err}") from None
+    if points.shape == (0,):
+        return points.reshape(0, n)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise PointSetError(f"{expected}, got shape {points.shape}")
+    return points
+
+
 def chunk_arrays(fn, points):
     """The dicts of arrays ``fn(start, chunk)`` gives on the GRID_CHUNK or
     fewer points from row ``start`` on, joined over the chunks in order;
@@ -228,10 +247,11 @@ def riemann_from_values(gamma, dgamma):
 
 
 def covariant_derivatives(T, dT, gamma):
-    """(nabla_i T)^a_b at [..., i, a, b] from a (1,1)-tensor T[..., a, b],
+    """((nabla_i T) e_b)^a at [..., i, b, a] from a (1,1)-tensor T[..., a, b],
     its derivatives dT[..., i, a, b] and the Christoffels."""
-    return (dT + np.einsum("...aic,...cb->...iab", gamma, T)
-            - np.einsum("...ac,...cib->...iab", T, gamma))
+    return (np.swapaxes(dT, -1, -2)
+            + np.einsum("...aic,...cb->...iba", gamma, T)
+            - np.einsum("...ac,...cib->...iba", T, gamma))
 
 
 def dot(a, b):

@@ -135,7 +135,6 @@ class Immersion:
         g once per ``geometry.GRID_CHUNK`` points."""
         n = self.spec.n
         N = n + 3
-        points = np.asarray(points, dtype=float).reshape(-1, n)
         eps = np.diag(geo.minkowski_metric(N))
         rows = np.array([n + 1] * (self.k + 1) + [n + 2] * (n - self.k + 2))
 
@@ -160,6 +159,7 @@ class Immersion:
         """Samples at ``points``.  The frame table is first filled at their
         missing staircase corners, parents first, from one ``block_steps``
         run over all of them."""
+        points = geo.as_points(points, self.spec.n)
         ends, todo = [], {}         # missing corner -> the corner before it
         for p in points:
             path = bd.staircase_path(self.base, p)
@@ -200,8 +200,9 @@ class TheoremReport:
         return not self.failing()
 
     def failing(self):
+        # a residual that is not a number fails too
         return [key for key in self.residuals
-                if self.residuals[key] >= self.tolerances[key]]
+                if not self.residuals[key] < self.tolerances[key]]
 
     def to_dict(self):
         return {
@@ -232,8 +233,8 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
     product-structure relations Fhat psi_* v = psi_*(fv) + u(v) N and
     Fhat N = psi_* U + lam N.  Admission runs over ``points`` unless given.
     """
-    if points is None:
-        points = spec.chart.grid(grid_density)
+    points = (spec.chart.grid(grid_density) if points is None
+              else geo.as_points(points, spec.n))
     if admission is None:
         admission = st.admit(spec, grid=points)
     if not admission.admissible:

@@ -11,8 +11,14 @@ A structure is admissible when it satisfies, on a sample grid:
 and the integer k read off from tr f + lambda = 2k - n - 1 is constant.
 The case f = +/-Id everywhere is rejected (those structures immerse into a
 single sphere or hyperbolic space instead of a genuine product).
+
+Each vector identity is a stack of defect vectors, the vector index last,
+and its residual the largest g-norm over the stack's index tuples; Gauss
+and Codazzi are antisymmetric in (X, Y), so they are taken on the pairs
+i < j alone.  A residual that is not a number fails admission.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -139,25 +145,15 @@ class StructureSpec:
 # of points along a leading axis, and returns values of the same shape
 
 
-def _gnorm(v, g):
-    """g-norms of the vectors v[..., a], over any axes between the point
-    axes of g and the vector index."""
-    extra = v.ndim - g.ndim + 1
-    g = g.reshape(g.shape[:-2] + (1,) * extra + g.shape[-2:])
-    return np.sqrt(np.maximum(0.0, np.einsum("...a,...ab,...b->...", v, g, v)))
-
-
-def _column_defect(M, g):
-    """Largest g-norm among the columns of M."""
-    return _gnorm(np.swapaxes(M, -1, -2), g).max(-1)
-
-
-def _pair_sup(norms, points_ndim):
-    """Sup of norms[..., i, j] over the pairs i < j and over the axes
-    after the leading point axes; 0 when there are no pairs."""
-    i, j = np.triu_indices(norms.shape[-1], 1)
-    picked = norms[..., i, j]
-    return picked.max(tuple(range(points_ndim, picked.ndim)), initial=0.0)
+def _sup_gnorm(v, g):
+    """The largest g-norm among the vectors v[..., a], over every index-tuple
+    axis between the point axes of g and the vector index; 0 when there are
+    none."""
+    points, n = g.shape[:-2], v.shape[-1]
+    # the tuples are counted, not inferred: a stack may have none
+    v = v.reshape(points + (math.prod(v.shape[len(points):-1]), n))
+    norms = np.einsum("...a,...ab,...b->...", v, g[..., None, :, :], v)
+    return np.sqrt(np.maximum(0.0, norms)).max(-1, initial=0.0)
 
 
 def check_algebraic(ev):
@@ -167,56 +163,59 @@ def check_algebraic(ev):
     ginv = ev.calc.ginv
     fT, ST = np.swapaxes(f, -1, -2), np.swapaxes(S, -1, -2)
     ff_defect = f @ f - np.eye(U.shape[-1]) + U[..., :, None] * u[..., None, :]
-    # f and S symmetric: the defect has a lowered output index, so its
-    # columns are measured in the dual metric
+    # each defect matrix is measured by its columns; f and S symmetric: the
+    # defect has a lowered output index, so in the dual metric
     return {
-        "f_symmetric": _column_defect(fT @ g - g @ f, ginv),
-        "S_symmetric": _column_defect(ST @ g - g @ S, ginv),
-        "f_squared": _column_defect(ff_defect, g),
-        "fU": _gnorm(geo.matvec(f, U) + lam[..., None] * U, g),
+        "f_symmetric": _sup_gnorm(np.swapaxes(fT @ g - g @ f, -1, -2), ginv),
+        "S_symmetric": _sup_gnorm(np.swapaxes(ST @ g - g @ S, -1, -2), ginv),
+        "f_squared": _sup_gnorm(np.swapaxes(ff_defect, -1, -2), g),
+        "fU": _sup_gnorm(geo.matvec(f, U) + lam[..., None] * U, g),
         "unit": np.abs(geo.dot(u, U) + lam * lam - 1.0),
     }
 
 
-def _wedges(A, B):
-    """W[..., a, i, j, k] = B[k, j] A[a, i] - B[k, i] A[a, j]: the wedge
-    (A_i ^ A_j) e_k for B = g A, of columns A_i."""
-    T = np.einsum("...kj,...ai->...aijk", B, A)
-    return T - np.swapaxes(T, -3, -2)
+def _wedges(A, B, i, j):
+    """W[..., a, p, k] = B[k, j] A[a, i] - B[k, i] A[a, j] at the pairs
+    (i, j) = (i[p], j[p]): the wedge (A_i ^ A_j) e_k for B = g A, of
+    columns A_i."""
+    return (np.einsum("...kp,...ap->...apk", B[..., j], A[..., i])
+            - np.einsum("...kp,...ap->...apk", B[..., i], A[..., j]))
 
 
 def check_gauss(ev, paired=False):
-    """Sup over basis triples of the Gauss-equation defect, in g-norm.
+    """Sup over the pairs i < j and over k of the Gauss-equation defect at
+    (e_i, e_j, e_k), in g-norm; both sides are antisymmetric in (X, Y).
 
     The equation is R(X,Y)Z = (SX ^ SY)Z + (f((X^Y)Z) + (X^Y)fZ)/2; with
     ``paired`` the variant with (fX ^ fY)Z in place of f((X^Y)Z).
     """
     g, S, f = ev.g, ev.S, ev.f
+    i, j = np.triu_indices(S.shape[-1], 1)
     gf = g @ f
-    wSS = _wedges(S, g @ S)
-    wIJf = _wedges(np.eye(S.shape[-1]), np.swapaxes(gf, -1, -2))
-    if paired:
-        wf = _wedges(f, gf)
-    else:
-        wf = _wedges(f, np.swapaxes(g, -1, -2))     # f((e_i ^ e_j) e_k)
-    defect = ev.calc.riem - (wSS + 0.5 * (wf + wIJf))
-    # [..., a, i, j, k] -> [..., k, i, j, a]
-    norms = _gnorm(np.moveaxis(defect, (-4, -1), (-1, -4)), g)
-    return _pair_sup(norms, g.ndim - 2)
+    wSS = _wedges(S, g @ S, i, j)
+    wIJf = _wedges(np.eye(S.shape[-1]), np.swapaxes(gf, -1, -2), i, j)
+    wf = (_wedges(f, gf, i, j) if paired
+          else _wedges(f, np.swapaxes(g, -1, -2), i, j))    # f((X^Y)Z)
+    # R(e_i, e_j) e_k - rhs at [..., a, pair, k], in rhs's array: the vector
+    # index keeps the largest stride, which fixes einsum's summation order
+    rhs = wSS + 0.5 * (wf + wIJf)
+    defect = np.subtract(ev.calc.riem[..., :, i, j, :], rhs, out=rhs)
+    return _sup_gnorm(np.moveaxis(defect, -3, -1), g)
 
 
 def check_codazzi(ev, sign=1.0):
-    """Sup over basis pairs of the Codazzi-equation defect, in g-norm.
+    """Sup over basis pairs i < j of the Codazzi-equation defect, in g-norm.
 
     The equation is (nabla_X S)Y - (nabla_Y S)X = sign (u(X)Y - u(Y)X)/2.
     """
-    # lhs[..., i, j, a] = ((nabla_i S) e_j - (nabla_j S) e_i)^a
-    lhs = np.swapaxes(geo.covariant_derivatives(ev.S, ev.dS, ev.calc.gamma),
-                      -1, -2)
-    lhs = lhs - np.swapaxes(lhs, -3, -2)
-    rhs = ev.u[..., :, None, None] * np.eye(ev.S.shape[-1])
-    rhs = 0.5 * (rhs - np.swapaxes(rhs, -3, -2))
-    return _pair_sup(_gnorm(lhs - sign * rhs, ev.g), ev.g.ndim - 2)
+    i, j = np.triu_indices(ev.S.shape[-1], 1)
+    nS = geo.covariant_derivatives(ev.S, ev.dS, ev.calc.gamma)
+    eye, u = np.eye(ev.S.shape[-1]), ev.u
+    # ((nabla_i S) e_j - (nabla_j S) e_i)^a and (u_i e_j - u_j e_i)^a / 2
+    # at [..., pair, a]
+    lhs = nS[..., i, j, :] - nS[..., j, i, :]
+    rhs = 0.5 * (u[..., i, None] * eye[j] - u[..., j, None] * eye[i])
+    return _sup_gnorm(lhs - sign * rhs, ev.g)
 
 
 def check_gradients(ev):
@@ -225,7 +224,7 @@ def check_gradients(ev):
     lam = np.asarray(ev.lam)
     gS = g @ S
     # (nabla_i f) e_j = u(e_j) S e_i + g(S e_i, e_j) U, at [..., i, j, a]
-    nf = np.swapaxes(geo.covariant_derivatives(f, ev.df, gamma), -1, -2)
+    nf = geo.covariant_derivatives(f, ev.df, gamma)
     rhs_f = (np.einsum("...j,...ai->...ija", u, S)
              + np.einsum("...ji,...a->...ija", gS, U))
     # nabla_i U = lam S e_i - f S e_i, at [..., i, a]
@@ -233,8 +232,8 @@ def check_gradients(ev):
     rhs_U = np.swapaxes(lam[..., None, None] * S - f @ S, -1, -2)
     # d_i lambda = -2 g(S e_i, U)
     dlam = ev.dlam + 2.0 * np.einsum("...ai,...a->...i", gS, U)
-    return {"grad_f": _gnorm(nf - rhs_f, g).max((-2, -1)),
-            "grad_U": _gnorm(nU - rhs_U, g).max(-1),
+    return {"grad_f": _sup_gnorm(nf - rhs_f, g),
+            "grad_U": _sup_gnorm(nU - rhs_U, g),
             "grad_lambda": np.abs(dlam).max(-1)}
 
 
@@ -309,7 +308,7 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=None):
     """
     n = spec.n
     grid = (spec.chart.grid(grid_density) if grid is None
-            else np.reshape(grid, (len(grid), n)))
+            else geo.as_points(grid, n))
     eye = np.eye(n)
 
     def evaluate(_, chunk):
@@ -360,8 +359,10 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=None):
     if not np.any(f_deviation > tol):
         reasons.append("excluded case f = +/-Id")
     for key in RESIDUAL_KEYS:
-        if sup[key] > tol:
-            reasons.append(f"{key} residual {sup[key]:.3e} exceeds {tol:.1e}")
+        # a residual that is not a number fails too
+        if not sup[key] <= tol:
+            reasons.append(f"{key} residual {sup[key]:.3e} exceeds {tol:.1e}"
+                           if sup[key] > tol else f"{key} residual is NaN")
     if skipped:
         reasons.append(f"{len(skipped)} grid points skipped (singular metric)")
 

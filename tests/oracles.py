@@ -39,7 +39,9 @@ The test-only helpers are references that no command runs:
   the tests check that ``ambient`` builds the very same nodes;
 * ``slice_hypersurface``, ``mixed_s2h2`` and ``mixed_s2h3``: ground truth
   beyond the catalog, in n = 4 ... 7 and with k = 2, and
-  ``hypersurface_document``, the CLI input document of one of them.
+  ``hypersurface_document``, the CLI input document of one of them;
+* ``scaled_shape_operator``: a structure with S scaled by a constant, an
+  inadmissible mutant of an admissible one.
 """
 
 import math
@@ -1036,6 +1038,14 @@ def mixed_s2h3():
          "cosh(u2)*sinh(u4)", "cosh(u2)*cosh(u4)*sinh(0.8*u1)",
          "cosh(u2)*cosh(u4)*cosh(0.8*u1)")
     return am.ParametrizedHypersurface(chart, x, k=2, name="mixed_s2h3")
+
+
+def scaled_shape_operator(spec, c):
+    """``spec`` with S replaced by c S."""
+    S = np.array([[ex.mul(ex.const(c), e) for e in row] for row in spec.S],
+                 dtype=object)
+    return st.StructureSpec(spec.chart, spec.g, S, spec.f, spec.U, spec.lam,
+                            declared_k=spec.declared_k)
 
 
 def hypersurface_document(h):

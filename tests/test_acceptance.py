@@ -41,10 +41,7 @@ def test_criterion_2_flatness(capsys, catalog_structures):
         for point in spec.chart.grid(4):
             worst = max(worst, oracles.flatness_residual(spec, point))
     _, spec = catalog_structures["diagonal_cylinder"]
-    S2 = np.array([[ex.mul(ex.const(2.0), e) for e in row] for row in spec.S],
-                  dtype=object)
-    mutant = st.StructureSpec(spec.chart, spec.g, S2, spec.f, spec.U,
-                              spec.lam, declared_k=spec.declared_k)
+    mutant = oracles.scaled_shape_operator(spec, 2.0)
     mutant_res = max(oracles.flatness_residual(mutant, p)
                      for p in spec.chart.grid(4))
     ok = worst < 1e-8 and mutant_res > 1e-3

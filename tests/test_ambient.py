@@ -499,12 +499,16 @@ def test_catalog_aliases():
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("name", am.catalog_names())
+@pytest.mark.parametrize("name", am.catalog_names() + [
+    "mixed_s2h2", "mixed_s2h2_S1.1", "mixed_s2h3"])
 def test_batched_audit_matches_per_point_oracle(
-        name, chunk, catalog_structures, monkeypatch):
+        name, chunk, catalog_structures, mixed_structures, monkeypatch):
     if chunk:
         monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
-    h, spec = catalog_structures[name]
+    h, spec = {**catalog_structures, **mixed_structures}[name]
+    # the audit reads its structure through extract_structure, which for
+    # the mutant gives the mutant
+    monkeypatch.setattr(am, "extract_structure", lambda _: spec)
     grid = h.chart.grid(5 if h.n < 3 else 3)
     audit = am.audit_equations(h, grid=grid)
     for key, val in oracles.audit(spec, grid).items():

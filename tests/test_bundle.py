@@ -30,10 +30,7 @@ def test_connection_is_flat_metric_and_f_parallel(name, catalog_structures):
 
 def test_mutant_structure_has_curvature(cylinder):
     spec, _ = cylinder
-    S2 = np.array([[ex.mul(ex.const(2.0), e) for e in row] for row in spec.S],
-                  dtype=object)
-    bad = st.StructureSpec(spec.chart, spec.g, S2, spec.f, spec.U, spec.lam,
-                           declared_k=spec.declared_k)
+    bad = oracles.scaled_shape_operator(spec, 2.0)
     worst = max(oracles.flatness_residual(bad, p) for p in spec.chart.grid(4))
     assert worst > 1e-3
 

@@ -64,6 +64,19 @@ def test_check_catalog_admissible(capsys):
     assert all(rec["res_C2_gauss"] < 1e-8 for rec in records)
 
 
+def test_check_fails_on_nan_residuals(tmp_path, capsys):
+    # g^-1 overflows at g11 = 1e-320: the residuals built from it are NaN
+    doc = flat_slice_doc()
+    doc["fields"]["g"] = [["1e-320", "0"], ["0", "1"]]
+    code, out, _ = run(capsys, "check", write_doc(tmp_path, doc),
+                       "--grid", "2")
+    assert code == 1
+    _, summary = parse_jsonl(out)
+    assert summary["admissible"] is False
+    assert summary["reasons"] == [f"{key} residual is NaN"
+                                  for key in st.RESIDUAL_KEYS[:5]]
+
+
 def test_check_reports_real_worst_points_for_zero_sups(capsys):
     code, out, _ = run(capsys, "check", "catalog:geodesic_slice", "--grid", "3")
     records, summary = parse_jsonl(out)

@@ -352,3 +352,49 @@ def test_empty_point_sets_give_empty_samples(name, catalog_structures):
         ("gauss_f_outside", "gauss_f_paired", "codazzi_plus",
          "codazzi_minus"), 0.0)
     assert h.check_on_model(grid=[]) == 0.0
+
+
+# entry point -> its call on a hypersurface, its structure and a point set
+POINT_SET_ENTRY_POINTS = {
+    "admit": lambda h, spec, pts: st.admit(spec, grid=pts),
+    "check_on_model": lambda h, spec, pts: h.check_on_model(grid=pts),
+    "audit_equations": lambda h, spec, pts: am.audit_equations(h, grid=pts),
+    "hypersurface_samples": lambda h, spec, pts: am.hypersurface_samples(
+        h, pts),
+    "immerse": lambda h, spec, pts: rc.immerse(spec, pts, step=1e-2),
+    "Immersion.samples": lambda h, spec, pts: rc.Immersion(
+        spec, step=1e-2).samples(pts),
+    "validate_theorem": lambda h, spec, pts: rc.validate_theorem(
+        spec, pts, step=1e-2),
+}
+# point sets that are not (P, 2) -> the end of the error message
+WRONG_POINT_SETS = {
+    "three_coordinates": ([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)],
+                          ", got shape (2, 3)"),
+    "one_flat_point": ([0.1, 0.2], ", got shape (2,)"),
+    "ragged": ([(0.1, 0.2), (0.3,)], ": setting an array element"),
+}
+
+
+@pytest.mark.parametrize("points", sorted(WRONG_POINT_SETS))
+@pytest.mark.parametrize("entry", sorted(POINT_SET_ENTRY_POINTS))
+def test_wrong_point_sets_raise_the_point_set_error(
+        entry, points, catalog_structures):
+    """No entry point reads points of another dimension as other points."""
+    h, spec = catalog_structures["geodesic_slice"]
+    pts, tail = WRONG_POINT_SETS[points]
+    with pytest.raises(geo.PointSetError) as err:
+        POINT_SET_ENTRY_POINTS[entry](h, spec, pts)
+    message = str(err.value)
+    assert message.startswith(
+        "points must have shape (P, 2) in a chart of dimension 2")
+    assert tail in message
+
+
+def test_a_nan_residual_fails_validation():
+    report = rc.TheoremReport(
+        k=1, residuals={"quadric": float("nan"), "isometry": 0.0},
+        tolerances={"quadric": 1e-7, "isometry": 1e-6}, samples=None,
+        admission=None)
+    assert report.failing() == ["quadric"]
+    assert not report.valid

@@ -8,7 +8,6 @@ import numpy as np
 import oracles
 import pytest
 
-from immersion_forge import expr as ex
 from immersion_forge import geometry as geo
 from immersion_forge import structure as st
 
@@ -104,12 +103,24 @@ def test_f_identity_excluded_even_when_equations_hold():
         assert report.residuals[key] < 1e-12
 
 
+def test_nan_residuals_fail_admission():
+    # g11 = 1e-320 passes the Cholesky test, but g^-1 overflows, so every
+    # residual built from it is NaN
+    spec = oracles.structure_from_strings(
+        flat_chart(), g=[["1e-320", "0"], ["0", "1"]],
+        S=[["0", "0"], ["0", "0"]], f=[["1", "0"], ["0", "-1"]], U=["0", "0"],
+        lam="-1")
+    report = st.admit(spec, grid_density=2)
+    nan_keys = [key for key, val in report.residuals.items() if np.isnan(val)]
+    assert nan_keys == ["C1_algebraic", "C2_gauss", "C3_codazzi",
+                        "C4_grad_f", "C5_grad_U"]
+    assert report.k == 1 and not report.admissible
+    assert report.reasons == [f"{key} residual is NaN" for key in nan_keys]
+
+
 def test_codazzi_violation_on_extracted_structure(catalog_structures):
     _, spec = catalog_structures["diagonal_cylinder"]
-    S2 = np.array([[ex.mul(ex.const(2.0), e) for e in row] for row in spec.S],
-                  dtype=object)
-    bad = st.StructureSpec(spec.chart, spec.g, S2, spec.f, spec.U, spec.lam,
-                           declared_k=spec.declared_k)
+    bad = oracles.scaled_shape_operator(spec, 2.0)
     report = st.admit(bad, grid_density=4)
     assert not report.admissible
     assert report.residuals["C3_codazzi"] > 1e-3
@@ -236,14 +247,19 @@ ORACLE_CASES = {
 TIE = 1e-14
 
 
+# S != 0 and U != 0 at n = 3 and 4 with k = 2, admissible or not
+MIXED_CASES = ["mixed_s2h2", "mixed_s2h2_S1.1", "mixed_s2h3"]
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("name", sorted(TRACE_TARGETS) + sorted(ORACLE_CASES))
+@pytest.mark.parametrize(
+    "name", sorted(TRACE_TARGETS) + sorted(ORACLE_CASES) + MIXED_CASES)
 def test_batched_admission_matches_per_point_oracle(
-        name, chunk, catalog_structures, monkeypatch):
+        name, chunk, catalog_structures, mixed_structures, monkeypatch):
     if chunk:
         monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
-    spec = (catalog_structures[name][1] if name in catalog_structures
-            else ORACLE_CASES[name]())
+    inputs = {**catalog_structures, **mixed_structures}
+    spec = inputs[name][1] if name in inputs else ORACLE_CASES[name]()
     grid = spec.chart.grid(5 if spec.n < 3 else 3)
     report = st.admit(spec, grid=grid)
     want = oracles.admit(spec, grid)
@@ -267,6 +283,9 @@ def test_batched_admission_matches_per_point_oracle(
             assert report.worst_points[key] == want["worst_points"][key]
     if name.startswith("singular"):
         assert report.skipped_points and not report.admissible
+    if name == "mixed_s2h2_S1.1":
+        assert not report.admissible
+        assert report.residuals["C2_gauss"] > 1e-3
 
 
 def test_batched_checks_serve_one_point_and_a_batch(catalog_structures):
