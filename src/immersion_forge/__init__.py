@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 # public name -> the module defining it, imported on first access (PEP 562)
 # so that importing a submodule such as ``cli`` does not import numpy first
 _HOMES = {
-    "ambient": ("AmbientModel", "ParametrizedHypersurface", "audit_equations",
-                "catalog_entry", "catalog_names", "extract_structure",
-                "solve_congruence"),
+    "ambient": ("AmbientModel", "ParametrizedHypersurface", "Samples",
+                "audit_equations", "catalog_entry", "catalog_names",
+                "extract_structure", "solve_congruence"),
     "bundle": ("ConnectionField", "staircase_path"),
     "geometry": ("Chart",),
-    "reconstruct": ("Immersion", "Samples", "immerse", "validate_theorem"),
+    "reconstruct": ("Immersion", "immerse", "validate_theorem"),
     "structure": ("CompatibilityReport", "InadmissibleStructureError",
                   "StructureSpec", "admit", "determine_k"),
 }

@@ -13,7 +13,7 @@ check.  ``solve_congruence`` realizes the uniqueness clause, and
 Codazzi equations empirically against extracted ground truth.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -21,6 +21,9 @@ import numpy as np
 from . import expr as ex
 from . import geometry as geo
 from . import structure as st
+
+# the largest on-model residual max(|c1|, |c2|) that check_on_model accepts
+ON_MODEL_TOL = 1e-10
 
 
 class AmbientError(Exception):
@@ -65,8 +68,9 @@ class AmbientModel:
     def fhat(self):
         return np.diag(np.where(np.arange(self.dim) <= self.k, 1.0, -1.0))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def on_model_residual(self, x):
-        """max(|c1|, |c2|)."""
+        """max(|c1|, |c2|), inf or NaN (and no warning) where x overflows."""
         s = self.k + 1
         c1 = geo.dot(x[..., :s], x[..., :s]) - 1.0
         c2 = self.inner(x[..., s:], x[..., s:]) + 1.0
@@ -84,6 +88,22 @@ class AmbientModel:
         corr2 = 0.5 * self.inner(X - FX, Y)
         return (corr1[..., None] * self.xi1(x)
                 - corr2[..., None] * self.xi2(x))
+
+
+@dataclass
+class Samples:
+    """The immersion at P points, as arrays along a leading point axis."""
+
+    points: np.ndarray    # (P, n) chart points
+    psi: np.ndarray       # (P, n+3) position in L^(n+3)
+    normal: np.ndarray    # (P, n+3) unit normal, tangent to the model
+    dpsi: np.ndarray      # (P, n+3, n) pushforward of the coordinate basis
+    residuals: dict = field(default_factory=dict)   # name -> (P,) values
+
+    def __len__(self):
+        return len(self.points)
+
+    __getitem__ = geo.point_of
 
 
 # ---------------------------------------------------------------------------
@@ -175,22 +195,22 @@ class ParametrizedHypersurface:
     def _sample_evaluator(self):
         return self._fields()
 
-    def check_on_model(self, grid=None, tol=1e-10, grid_density=None):
+    def check_on_model(self, grid=None, grid_density=None):
         """Raise unless the image stays on the model with rank-n jacobian;
         return the largest on-model residual.
 
         The error names the first failing grid point; at that point the
-        residual is tested first, then the sheet, then the rank.
+        residual is tested first, NaN failing, then the sheet, then the rank.
         """
-        grid = (self.chart.grid(grid_density) if grid is None
-                else geo.as_points(grid, self.n))
+        grid = self.chart.points(grid, grid_density)
 
         def residuals(_, chunk):
             vals = self._sample_evaluator(chunk)
             x = vals["x"]
             res = self.model.on_model_residual(x)
-            checks = ((res > tol, "not on model at {}: residual {:.3e}"),
-                      (x[:, -1] <= 0.0, "lower hyperboloid sheet at {}"),
+            checks = ((~(res <= ON_MODEL_TOL),
+                       "not on model at {}: residual {:.3e}"),
+                      (~(x[:, -1] > 0.0), "lower hyperboloid sheet at {}"),
                       (np.linalg.matrix_rank(vals["dx"], tol=1e-10) < self.n,
                        "jacobian rank defect at {}"))
             bad = np.flatnonzero(np.any([fails for fails, _ in checks], 0))
@@ -261,9 +281,7 @@ def extract_structure(h):
 
 def hypersurface_samples(h, points):
     """Ground-truth immersion samples straight from the parametrization."""
-    from .reconstruct import Samples
-
-    points = geo.as_points(points, h.n)
+    points = h.chart.points(points)
     vals = geo.chunk_arrays(lambda _, chunk: h._psi_evaluator(chunk), points)
     return Samples(points=points, psi=vals["x"], normal=vals["nu"],
                    dpsi=vals["dx"])
@@ -366,11 +384,10 @@ class AuditReport:
                 "tolerance": self.tolerance}
 
 
-def audit_equations(h, grid=None, tol=1e-8, grid_density=None):
+def audit_equations(h, grid=None, tol=1e-8):
     """Evaluate every AUDIT_VARIANTS check on extracted data."""
     spec = extract_structure(h)
-    grid = (spec.chart.grid(grid_density) if grid is None
-            else geo.as_points(grid, h.n))
+    grid = h.chart.points(grid)
     checks = {f"{equation}_{variant}": check
               for equation, variants in AUDIT_VARIANTS.items()
               for variant, check in variants.items()}

@@ -37,10 +37,10 @@ STAGE_BLOCK = 128
 def step_error(box, step):
     """Why ``step`` cannot transport in a chart of box ``box``, or None: it
     lies outside [MIN_STEP, MAX_STEP] (NaN included), or takes more than
-    MAX_SIDE_STEPS RK4 steps across the widest side of the box."""
+    MAX_SIDE_STEPS RK4 steps across the widest side of a nonempty box."""
     if not MIN_STEP <= step <= MAX_STEP:
         return f"step must lie in [{MIN_STEP!r}, {MAX_STEP!r}]"
-    side_steps = max(hi - lo for lo, hi in box) / step
+    side_steps = max((hi - lo for lo, hi in box), default=0.0) / step
     if side_steps > MAX_SIDE_STEPS:
         return (f"step {step!r} takes {side_steps:.3g} RK4 steps across the "
                 f"widest side of the chart box; the cap is {MAX_SIDE_STEPS}")

@@ -415,9 +415,9 @@ def validate_config(config):
         raise InputError("tolerance must be finite")
     if config.grid is not None and config.grid < 2:
         raise InputError("grid density must be >= 2")
-    if not bd.MIN_STEP <= config.step <= bd.MAX_STEP:
-        raise InputError(
-            f"step must lie in [{bd.MIN_STEP!r}, {bd.MAX_STEP!r}]")
+    error = bd.step_error((), config.step)
+    if error:
+        raise InputError(error)
     if config.out:
         out = os.path.abspath(config.out)
         if os.path.isdir(out):

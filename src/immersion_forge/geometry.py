@@ -98,6 +98,25 @@ class Chart:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, -1).reshape(-1, self.n)
 
+    def points(self, points=None, density=None):
+        """The chart grid of ``density`` when ``points`` is None, else
+        ``points`` as a (P, n) float array, ``[]`` as (0, n); raises
+        PointSetError naming the dimension expected and the shape given."""
+        if points is None:
+            return self.grid(density)
+        n = self.n
+        expected = (f"points must have shape (P, {n}) in a chart of "
+                    f"dimension {n}")
+        try:
+            points = np.asarray(points, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise PointSetError(f"{expected}: {err}") from None
+        if points.shape == (0,):
+            return points.reshape(0, n)
+        if points.ndim != 2 or points.shape[1] != n:
+            raise PointSetError(f"{expected}, got shape {points.shape}")
+        return points
+
 
 def derivatives(arr, coords):
     """d[p, ...] = d_p arr[...] for each coordinate name in ``coords``."""
@@ -137,26 +156,10 @@ def compile_fields(fields, coords):
 GRID_CHUNK = 1024
 
 
-def as_points(points, n):
-    """``points`` as a (P, n) float array, the empty ``[]`` as (0, n); raises
-    PointSetError naming the dimension expected and the shape given."""
-    expected = f"points must have shape (P, {n}) in a chart of dimension {n}"
-    try:
-        points = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise PointSetError(f"{expected}: {err}") from None
-    if points.shape == (0,):
-        return points.reshape(0, n)
-    if points.ndim != 2 or points.shape[1] != n:
-        raise PointSetError(f"{expected}, got shape {points.shape}")
-    return points
-
-
 def chunk_arrays(fn, points):
     """The dicts of arrays ``fn(start, chunk)`` gives on the GRID_CHUNK or
-    fewer points from row ``start`` on, joined over the chunks in order;
-    ``fn(0, points)`` when the (0, n) ``points`` make no chunk."""
-    points = np.asarray(points, dtype=float)
+    fewer rows of the (P, n) array ``points`` from row ``start`` on, joined
+    over the chunks in order; ``fn(0, points)`` when P = 0."""
     parts = ([fn(start, points[start:start + GRID_CHUNK])
               for start in range(0, len(points), GRID_CHUNK)]
              or [fn(0, points)])

@@ -16,34 +16,18 @@ A ``Samples`` record holds psi, psi_* and N at many points as arrays with a
 leading point axis; theorem validation adds its residuals to it as arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bundle as bd
 from . import geometry as geo
 from . import structure as st
-from .ambient import AmbientModel
+from .ambient import AmbientModel, Samples
 
 
 class ReconstructionError(Exception):
     pass
-
-
-@dataclass
-class Samples:
-    """The immersion at P points, as arrays along a leading point axis."""
-
-    points: np.ndarray    # (P, n) chart points
-    psi: np.ndarray       # (P, n+3) position in L^(n+3)
-    normal: np.ndarray    # (P, n+3) unit normal, tangent to the model
-    dpsi: np.ndarray      # (P, n+3, n) pushforward of the coordinate basis
-    residuals: dict = field(default_factory=dict)   # name -> (P,) values
-
-    def __len__(self):
-        return len(self.points)
-
-    __getitem__ = geo.point_of
 
 
 def _gram_schmidt(vectors, G):
@@ -130,9 +114,27 @@ class Immersion:
                 or np.abs(F @ E0[:, sph:] + E0[:, sph:]).max() > 1e-8):
             raise ReconstructionError("base frame is not adapted to F")
 
-    def _assemble(self, points, frames):
-        """Samples at ``points`` read off their frame components, evaluating
-        g once per ``geometry.GRID_CHUNK`` points."""
+    def sample(self, point):
+        return self.samples([point])[0]
+
+    def samples(self, points):
+        """Samples at ``points`` (None: the chart grid), read off the frames
+        with g evaluated once per ``geometry.GRID_CHUNK`` points.  The frame
+        table is first filled at their missing staircase corners, parents
+        first, from one ``block_steps`` run over all of them."""
+        points = self.spec.chart.points(points)
+        ends, todo = [], {}         # missing corner -> the corner before it
+        for p in points:
+            path = bd.staircase_path(self.base, p)
+            ends.append(path[-1])
+            todo.update((b, a) for a, b in zip(path[:-1], path[1:])
+                        if b not in self.frames)
+        segments = [(a, b) for b, a in todo.items()]
+        for (a, b), blocks in zip(segments,
+                                  self.conn.block_steps(segments, self.step)):
+            self.frames[b] = self.conn.transport_segment(
+                a, b, self.frames[a], step=self.step, blocks=blocks)
+        frames = [self.frames[e] for e in ends]
         n = self.spec.n
         N = n + 3
         eps = np.diag(geo.minkowski_metric(N))
@@ -152,34 +154,11 @@ class Immersion:
         return Samples(points, vals["psi"], vals["normal"],
                        np.swapaxes(vals["dpsi"], 1, 2))
 
-    def sample(self, point):
-        return self.samples([point])[0]
-
-    def samples(self, points):
-        """Samples at ``points``.  The frame table is first filled at their
-        missing staircase corners, parents first, from one ``block_steps``
-        run over all of them."""
-        points = geo.as_points(points, self.spec.n)
-        ends, todo = [], {}         # missing corner -> the corner before it
-        for p in points:
-            path = bd.staircase_path(self.base, p)
-            ends.append(path[-1])
-            todo.update((b, a) for a, b in zip(path[:-1], path[1:])
-                        if b not in self.frames)
-        segments = [(a, b) for b, a in todo.items()]
-        for (a, b), blocks in zip(segments,
-                                  self.conn.block_steps(segments, self.step)):
-            self.frames[b] = self.conn.transport_segment(
-                a, b, self.frames[a], step=self.step, blocks=blocks)
-        return self._assemble(points, [self.frames[e] for e in ends])
-
 
 def immerse(spec, points=None, base=None, step=bd.DEFAULT_STEP,
-            grid_density=None, base_frame=None, k=None):
+            base_frame=None, k=None):
     """Reconstruct the immersion at the given points (default: chart grid)."""
     imm = Immersion(spec, k=k, base=base, step=step, base_frame=base_frame)
-    if points is None:
-        points = spec.chart.grid(grid_density)
     return imm, imm.samples(points)
 
 
@@ -221,20 +200,22 @@ DEFAULT_VALIDATION_TOLERANCES = {
     "shape_operator": 1e-4,
     "product_relations": 1e-6,
 }
+# the shape check's finite-difference step, less near a face of the box
+FD_STEP = 1e-4
 
 
 def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
-                     grid_density=None, admission=None):
+                     admission=None):
     """Reconstruct and check the immersion against the model geometry.
 
     Refuses structures that fail admission.  Checks, as sups over the
     sample points: quadric membership and sheet, isometry, unit normal,
     the shape operator (finite differences of the normal), and the
     product-structure relations Fhat psi_* v = psi_*(fv) + u(v) N and
-    Fhat N = psi_* U + lam N.  Admission runs over ``points`` unless given.
+    Fhat N = psi_* U + lam N, over ``points`` or, when None, the chart
+    grid.  Admission runs over the same points unless given.
     """
-    points = (spec.chart.grid(grid_density) if points is None
-              else geo.as_points(points, spec.n))
+    points = spec.chart.points(points)
     if admission is None:
         admission = st.admit(spec, grid=points)
     if not admission.admissible:
@@ -273,13 +254,13 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
                          samples=samples, admission=admission)
 
 
-def _shape_fd_residuals(imm, model, s, S, h=1e-4):
+def _shape_fd_residuals(imm, model, s, S):
     """sup_i |nabla_i N + psi_*(S e_i)| at the samples ``s``, the normal
-    differentiated numerically at point +- h e_i, transported there from the
-    sample's frame; the segments share field batches and one read-off."""
+    differentiated numerically at point +- FD_STEP e_i, transported there
+    from the sample's frame; the segments share field batches."""
     n = imm.spec.n
     lo, hi = np.array(imm.spec.chart.box).T
-    hp = np.minimum(h, 0.25 * np.minimum(hi - s.points, s.points - lo))
+    hp = np.minimum(FD_STEP, 0.25 * np.minimum(hi - s.points, s.points - lo))
     j, i = np.nonzero(hp > 0.0)         # (sample, direction) pairs
     if not len(j):                      # every sample at a box corner
         return np.zeros(len(s))
@@ -290,7 +271,10 @@ def _shape_fd_residuals(imm, model, s, S, h=1e-4):
                                          step=imm.step, blocks=blocks)
               for (p0, p1), blocks in zip(
                   segments, imm.conn.block_steps(segments, imm.step))]
-    plus, minus = np.split(imm._assemble(ends, frames).normal, 2)
+    # N = eps G(xi, eta) is eps times row n of the frame components, row n
+    # of G = blockdiag(g, 1, 1, -1) being a unit row
+    eps = np.diag(model.minkowski)
+    plus, minus = np.split(eps * np.array(frames)[:, n], 2)
     # psi_*(S e_d) in every direction d, S's columns kept as views
     turn = np.array([geo.matvec(s.dpsi, S[:, :, d]) for d in range(n)])
     defect = ((plus - minus) / (2.0 * hp[j, i, None])

@@ -247,6 +247,8 @@ def determine_k(spec, point, ev=None, tol=1e-8):
     ev = ev or spec.eval_at(point)
     n = spec.n
     raw = (trace_invariant(ev) + n + 1.0) / 2.0
+    if not np.isfinite(raw):
+        raise StructureError(f"k = {raw} is not finite at {point}")
     k = int(round(raw))
     if abs(raw - k) > tol:
         raise StructureError(f"k = {raw} is not an integer at {point}")
@@ -299,6 +301,8 @@ class CompatibilityReport:
         }
 
 
+# a field too large for floats fails its residual or k as inf or NaN
+@np.errstate(over="ignore", invalid="ignore")
 def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=None):
     """Run all compatibility checks over a grid and aggregate a verdict.
 
@@ -307,8 +311,7 @@ def admit(spec, grid=None, tol=DEFAULT_TOLERANCE, grid_density=None):
     ``values`` hold NaN.
     """
     n = spec.n
-    grid = (spec.chart.grid(grid_density) if grid is None
-            else geo.as_points(grid, n))
+    grid = spec.chart.points(grid, grid_density)
     eye = np.eye(n)
 
     def evaluate(_, chunk):

@@ -6,7 +6,7 @@ connection, and the helpers that only the tests run.
 The admission checks are the triple loops the batched checks in
 ``structure`` replaced: one point at a time, one basis vector, pair or
 triple per iteration.  The theorem checks and the congruence solver are the
-per-sample loops the array expressions over a ``reconstruct.Samples``
+per-sample loops the array expressions over an ``ambient.Samples``
 record replaced, with the model's inner product and factor positions
 written out for one point.  The tests compare the batched code against
 them, and compare each batched evaluation against itself on SUB_BATCHES.

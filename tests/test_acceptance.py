@@ -79,7 +79,7 @@ def test_criterion_3_transport_quality(capsys, catalog_structures):
 def test_criterion_4_theorem_reconstruction(capsys, catalog_structures,
                                             name, density):
     _, spec = catalog_structures[name]
-    rep = rc.validate_theorem(spec, grid_density=density)
+    rep = rc.validate_theorem(spec, spec.chart.grid(density))
     detail = ", ".join(f"{k} {v:.2e}" for k, v in rep.residuals.items())
     report(capsys, 4, f"reconstruction [{name}]", rep.valid, detail)
 
@@ -127,9 +127,9 @@ def test_criterion_6_roundtrip(capsys, catalog_structures):
 
 def test_criterion_7_equation_audit(capsys, catalog_structures):
     h1, _ = catalog_structures["geodesic_slice"]
-    a1 = am.audit_equations(h1, grid_density=4)
+    a1 = am.audit_equations(h1, h1.chart.grid(4))
     h2, _ = catalog_structures["diagonal_cylinder"]
-    a2 = am.audit_equations(h2, grid_density=4)
+    a2 = am.audit_equations(h2, h2.chart.grid(4))
     r1, r2 = a1.residuals, a2.residuals
     ok = (r1["gauss_f_outside"] < 1e-8 and r1["gauss_f_paired"] > 0.1
           and r2["codazzi_plus"] < 1e-8 and r2["codazzi_minus"] > 0.1)

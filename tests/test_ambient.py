@@ -459,7 +459,7 @@ def test_solve_congruence_detects_mismatch(catalog_structures):
 
 def test_audit_separates_gauss_variants(catalog_structures):
     h, _ = catalog_structures["geodesic_slice"]
-    report = am.audit_equations(h, grid_density=3)
+    report = am.audit_equations(h, h.chart.grid(3))
     assert report.residuals["gauss_f_outside"] < 1e-8
     assert report.residuals["gauss_f_paired"] > 0.1
     assert report.surviving("gauss") == ["f_outside"]
@@ -469,7 +469,7 @@ def test_audit_separates_gauss_variants(catalog_structures):
 
 def test_audit_separates_codazzi_signs(catalog_structures):
     h, _ = catalog_structures["diagonal_cylinder"]
-    report = am.audit_equations(h, grid_density=3)
+    report = am.audit_equations(h, h.chart.grid(3))
     assert report.residuals["codazzi_plus"] < 1e-8
     assert report.residuals["codazzi_minus"] > 0.1
     assert report.surviving("codazzi") == ["plus"]
@@ -479,7 +479,7 @@ def test_audit_separates_codazzi_signs(catalog_structures):
 @pytest.mark.parametrize("name", am.catalog_names())
 def test_audit_uses_the_admission_equations(name, catalog_structures):
     h, spec = catalog_structures[name]
-    audit = am.audit_equations(h, grid_density=3)
+    audit = am.audit_equations(h, h.chart.grid(3))
     report = st.admit(spec, grid_density=3)
     assert audit.residuals["gauss_f_outside"] == report.residuals["C2_gauss"]
     assert audit.residuals["codazzi_plus"] == report.residuals["C3_codazzi"]

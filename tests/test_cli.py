@@ -77,6 +77,25 @@ def test_check_fails_on_nan_residuals(tmp_path, capsys):
                                   for key in st.RESIDUAL_KEYS[:5]]
 
 
+@pytest.mark.parametrize("big,reason", [
+    ("1e308", "k = inf is not finite at (-0.882, -0.882)"),
+    ("1e200", " out of range 1..2 at (-0.882, -0.882)"),
+])
+def test_check_fails_on_fields_too_large_for_floats(tmp_path, capsys, big,
+                                                    reason):
+    # tr f overflows to inf at f = 1e308 Id; at 1e200 Id, f^2 does
+    doc = flat_slice_doc()
+    doc["fields"]["f"] = [[big, "0"], ["0", big]]
+    code, out, err = run(capsys, "check", write_doc(tmp_path, doc),
+                         "--grid", "2")
+    assert (code, err) == (1, "")
+    _, summary = parse_jsonl(out)
+    assert summary["admissible"] is False
+    assert summary["reasons"][0].startswith("k = ")
+    assert summary["reasons"][0].endswith(reason)
+    assert "C1_algebraic residual is NaN" in summary["reasons"]
+
+
 def test_check_reports_real_worst_points_for_zero_sups(capsys):
     code, out, _ = run(capsys, "check", "catalog:geodesic_slice", "--grid", "3")
     records, summary = parse_jsonl(out)
@@ -551,6 +570,21 @@ def test_extract_off_model_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "extract", path)
     assert code == 2
     assert "not on model" in err
+
+
+@pytest.mark.parametrize("command", ["check", "audit"])
+def test_position_too_large_to_square_is_off_model(capsys, tmp_path, command):
+    # |x|^2 is inf - inf = NaN at u1 = -0.98, where cosh(400 u1) ~ 1e170
+    doc = {
+        "kind": "hypersurface", "n": 1, "k": 1,
+        "coords": ["u1"], "domain": [[-1.0, 1.0]], "base_point": [0.1],
+        "fields": {"x": ["cos(u1)", "sin(u1)", "sinh(400*u1)",
+                         "cosh(400*u1)"]},
+    }
+    code, out, err = run(capsys, command, write_doc(tmp_path, doc),
+                         "--grid", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: not on model at (-0.98,): residual nan\n"
 
 
 def test_roundtrip_catalog(capsys):

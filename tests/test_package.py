@@ -65,6 +65,18 @@ def test_every_definition_in_src_is_used_by_the_package():
     assert unreferenced == ALLOWED_UNREFERENCED
 
 
+def test_no_function_in_src_imports():
+    """Every import is at module level: no import cycle is hidden in a
+    function body."""
+    inside = [f"{path.name}:{sub.lineno}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for sub in ast.walk(node)
+              if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert inside == []
+
+
 @pytest.mark.parametrize("module", [immersion_forge, ex])
 def test_star_import_resolves_every_public_name(module):
     namespace = {}

@@ -73,7 +73,7 @@ def test_steps_across_the_chart_box_are_capped(catalog_structures, box, step,
     else:
         with pytest.raises(rc.ReconstructionError,
                            match=f"the cap is {bd.MAX_SIDE_STEPS}"):
-            rc.immerse(wide, step=step, grid_density=2)
+            rc.immerse(wide, wide.chart.grid(2), step=step)
 
 
 def test_step_bounds_accepted(catalog_structures):
@@ -90,7 +90,7 @@ def test_step_bounds_accepted(catalog_structures):
 ])
 def test_validate_theorem(name, density, catalog_structures):
     _, spec = catalog_structures[name]
-    report = rc.validate_theorem(spec, grid_density=density)
+    report = rc.validate_theorem(spec, spec.chart.grid(density))
     assert report.valid, report.to_dict()
     assert report.residuals["quadric"] < 1e-7
     assert report.residuals["isometry"] < 1e-6
@@ -110,7 +110,7 @@ def test_validate_refuses_inadmissible():
         lam="-1",
     )
     with pytest.raises(st.InadmissibleStructureError):
-        rc.validate_theorem(chart_spec, grid_density=3)
+        rc.validate_theorem(chart_spec, chart_spec.chart.grid(3))
 
 
 def test_reconstruction_matches_ground_truth(catalog_structures):
@@ -183,7 +183,7 @@ def test_shape_check_does_not_carry_transport_error(name, density,
     # the normals are differentiated off each grid frame along +-h, so
     # a coarser transport step must not move the finite difference
     _, spec = catalog_structures[name]
-    coarse, fine = (rc.validate_theorem(spec, grid_density=density, step=s)
+    coarse, fine = (rc.validate_theorem(spec, spec.chart.grid(density), step=s)
                     .residuals["shape_operator"] for s in (1e-2, 1e-3))
     assert max(coarse / fine, fine / coarse) <= 1.05
 
@@ -270,18 +270,22 @@ def test_shape_check_field_calls_do_not_grow_with_the_grid(catalog_structures,
                                                           monkeypatch):
     _, spec = catalog_structures["diagonal_cylinder"]
     calls = _count_field_calls(monkeypatch)
-    counts = []
+    rows = []               # the rows of each field call of the shape check
     for density in (2, 4):
         points = spec.chart.grid(density)
         admission = st.admit(spec, grid=points)
         calls.clear()
         rc.immerse(spec, points, step=1e-2)
-        fill = len(calls)
+        fill = list(calls)
         calls.clear()
         rc.validate_theorem(spec, points, step=1e-2, admission=admission)
-        counts.append(len(calls) - fill)
-    # one stage call and one read-off of the normals, at 4 and at 16 points
-    assert counts == [2, 2]
+        assert calls[:len(fill)] == fill
+        rows.append(calls[len(fill):])
+    # one stage call, at 4 and at 16 points: each of the 2 n P = 4 P +-h
+    # segments takes one RK4 step of 3 stage points.  The normals at the
+    # segment ends are read off their frames, so no call evaluates g at
+    # those 4 P points
+    assert rows == [[3 * 4 * 4], [3 * 4 * 16]]
 
 
 ORACLE_GRID = {1: 5, 2: 3, 3: 2}
@@ -367,8 +371,10 @@ POINT_SET_ENTRY_POINTS = {
     "validate_theorem": lambda h, spec, pts: rc.validate_theorem(
         spec, pts, step=1e-2),
 }
-# point sets that are not (P, 2) -> the end of the error message
-WRONG_POINT_SETS = {
+# point sets that are not (P, 2) -> the end of the error message; None,
+# which is no point set, takes the chart grid
+POINT_SETS = {
+    "none": (None, None),
     "three_coordinates": ([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)],
                           ", got shape (2, 3)"),
     "one_flat_point": ([0.1, 0.2], ", got shape (2,)"),
@@ -376,13 +382,24 @@ WRONG_POINT_SETS = {
 }
 
 
-@pytest.mark.parametrize("points", sorted(WRONG_POINT_SETS))
+@pytest.mark.parametrize("points", sorted(POINT_SETS))
 @pytest.mark.parametrize("entry", sorted(POINT_SET_ENTRY_POINTS))
 def test_wrong_point_sets_raise_the_point_set_error(
-        entry, points, catalog_structures):
-    """No entry point reads points of another dimension as other points."""
+        entry, points, catalog_structures, monkeypatch):
+    """No entry point reads points of another dimension as other points,
+    and with no points each sweeps the chart grid."""
     h, spec = catalog_structures["geodesic_slice"]
-    pts, tail = WRONG_POINT_SETS[points]
+    pts, tail = POINT_SETS[points]
+    if pts is None:
+        monkeypatch.setattr(geo, "default_grid", lambda n: 2)
+        swept, chunk_arrays = [], geo.chunk_arrays
+        monkeypatch.setattr(geo, "chunk_arrays", lambda fn, sweep: (
+            swept.append(sweep) or chunk_arrays(fn, sweep)))
+        POINT_SET_ENTRY_POINTS[entry](h, spec, None)
+        grid = spec.chart.grid()
+        assert len(grid) == 4 and swept
+        assert all(np.array_equal(sweep, grid) for sweep in swept)
+        return
     with pytest.raises(geo.PointSetError) as err:
         POINT_SET_ENTRY_POINTS[entry](h, spec, pts)
     message = str(err.value)
