@@ -10,7 +10,7 @@ explicit hypersurface parametrization symbolically and reads off the
 induced structure quintuple, which must then pass every compatibility
 check.  ``solve_congruence`` realizes the uniqueness clause, and
 ``audit_equations`` settles the two sign/form ambiguities of the Gauss and
-Codazzi equations empirically against extracted ground truth.
+Codazzi equations empirically on the structure extracted from ground truth.
 """
 
 from dataclasses import dataclass, field
@@ -142,20 +142,17 @@ def sym_inverse(rows):
     return inv
 
 
-def minkowski_dot(u, v):
-    """<u, v> of two expression vectors, the last slot timelike."""
-    total = ex.ZERO
-    for a, (ua, va) in enumerate(zip(u, v)):
-        eta = ex.const(-1.0 if a == len(u) - 1 else 1.0)
-        total = ex.add(total, ex.mul(eta, ex.mul(ua, va)))
-    return total
-
-
 def _dot(row, vec):
     total = ex.ZERO
     for r, v in zip(row, vec):
         total = ex.add(total, ex.mul(r, v))
     return total
+
+
+def minkowski_dot(u, v):
+    """<u, v> of two expression vectors, the last slot timelike."""
+    eta = [ex.ONE] * (len(u) - 1) + [ex.const(-1.0)]
+    return _dot(eta, [ex.mul(ua, va) for ua, va in zip(u, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +381,9 @@ class AuditReport:
                 "tolerance": self.tolerance}
 
 
-def audit_equations(h, grid=None, tol=1e-8):
-    """Evaluate every AUDIT_VARIANTS check on extracted data."""
-    spec = extract_structure(h)
-    grid = h.chart.points(grid)
+def audit_equations(spec, grid=None, tol=1e-8):
+    """Evaluate every AUDIT_VARIANTS check on the structure ``spec``."""
+    grid = spec.chart.points(grid)
     checks = {f"{equation}_{variant}": check
               for equation, variants in AUDIT_VARIANTS.items()
               for variant, check in variants.items()}

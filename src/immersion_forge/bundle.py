@@ -90,20 +90,16 @@ def assemble_gram(g):
     return G
 
 
-def assemble_bundle_map(f, U, u, lam, unit=1.0):
-    """Frame matrix of F: FX = fX + u(X) xi, F xi = U + lam xi, F xi_1,2 = +-xi_1,2.
-
-    Affine in (f, U, u, lam), with the constant part carried by ``unit``
-    (zero for derivatives of F).
-    """
+def assemble_bundle_map(f, U, u, lam):
+    """Frame matrix of F: FX = fX + u(X) xi, F xi = U + lam xi, F xi_1,2 = +-xi_1,2."""
     n = f.shape[0]
     F = np.zeros((n + 3, n + 3))
     F[:n, :n] = f
     F[n, :n] = u
     F[:n, n] = U
     F[n, n] = lam
-    F[n + 1, n + 1] = unit
-    F[n + 2, n + 2] = -unit
+    F[n + 1, n + 1] = 1.0
+    F[n + 2, n + 2] = -1.0
     return F
 
 

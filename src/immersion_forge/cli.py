@@ -289,8 +289,7 @@ def _sample_table(chart, samples):
 # commands
 
 
-def cmd_check(config, obj, grid):
-    spec = as_structure(obj, grid=grid)
+def cmd_check(config, _, spec, grid):
     report = st.admit(spec, grid=grid, tol=config.tol)
 
     columns = ([(f"res_{key}", val, report.usable)
@@ -300,8 +299,7 @@ def cmd_check(config, obj, grid):
     return 0 if report.admissible else 1
 
 
-def cmd_reconstruct(config, obj, grid):
-    spec = as_structure(obj, grid=grid)
+def cmd_reconstruct(config, _, spec, grid):
     admission = st.admit(spec, grid=grid, tol=config.tol)
     if not admission.admissible:
         emit(config, {"admissible": False, "reasons": admission.reasons})
@@ -312,8 +310,7 @@ def cmd_reconstruct(config, obj, grid):
     return 0 if report.valid else 1
 
 
-def cmd_extract(config, h, grid):
-    spec = as_structure(h, grid=grid)
+def cmd_extract(config, h, spec, grid):
     report = st.admit(spec, grid=grid, tol=config.tol)
     samples = am.hypersurface_samples(h, grid)
     samples.residuals["on_model"] = h.model.on_model_residual(samples.psi)
@@ -321,8 +318,7 @@ def cmd_extract(config, h, grid):
     return 0 if report.admissible else 1
 
 
-def cmd_roundtrip(config, h, grid):
-    spec = as_structure(h, grid=grid)
+def cmd_roundtrip(config, h, spec, grid):
     admission = st.admit(spec, grid=grid)
     if not admission.admissible:
         emit(config, {"admissible": False, "reasons": admission.reasons})
@@ -346,15 +342,15 @@ def cmd_roundtrip(config, h, grid):
     return 0 if cong.congruent else 1
 
 
-def cmd_audit(config, h, grid):
-    h.check_on_model(grid=grid)
-    report = am.audit_equations(h, grid=grid, tol=config.tol)
+def cmd_audit(config, _, spec, grid):
+    report = am.audit_equations(spec, grid=grid, tol=config.tol)
     emit(config, report.to_dict())
     return 0
 
 
 # name -> (command, help text, default --tol, the input type it takes,
-# whether it transports); ``object`` takes a structure or a hypersurface
+# whether it transports); ``object`` takes a structure or a hypersurface.
+# A command is called with the input, its structure view and the grid.
 COMMANDS = {
     "check": (cmd_check, "run the compatibility checks on a structure",
               st.DEFAULT_TOLERANCE, object, False),
@@ -413,9 +409,8 @@ def validate_config(config):
         raise InputError("tolerance must be positive")
     if not np.isfinite(config.tol):
         raise InputError("tolerance must be finite")
-    if config.grid is not None and config.grid < 2:
-        raise InputError("grid density must be >= 2")
-    error = bd.step_error((), config.step)
+    error = ((config.grid is not None and geo.density_error(config.grid))
+             or bd.step_error((), config.step))
     if error:
         raise InputError(error)
     if config.out:
@@ -431,7 +426,9 @@ def main(argv=None):
     config = build_parser().parse_args(argv)
     try:
         validate_config(config)
-        return COMMANDS[config.command][0](config, *load_checked_input(config))
+        obj, grid = load_checked_input(config)
+        return COMMANDS[config.command][0](
+            config, obj, as_structure(obj, grid=grid), grid)
     except (InputError, ex.ExprError, st.StructureError,
             rc.ReconstructionError, am.AmbientError, geo.GeometryError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -194,8 +194,10 @@ def powc(a, expo):
     return _mk("bin", "^", (a, expo), None)
 
 
-def postorder(roots):
-    """Unique nodes of the DAG under ``roots``, children before parents."""
+def postorder(roots, known=()):
+    """Unique nodes of the DAG under ``roots``, children before parents,
+    leaving out the nodes in ``known`` and those reachable only through
+    them."""
     order = []
     seen = set()
     stack = [(r, False) for r in reversed(list(roots))]
@@ -203,11 +205,11 @@ def postorder(roots):
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-        elif node not in seen:
+        elif node not in seen and node not in known:
             seen.add(node)
             stack.append((node, True))
             for child in node.args:
-                if child not in seen:
+                if child not in seen and child not in known:
                     stack.append((child, False))
     return order
 
@@ -232,30 +234,21 @@ _DERIVATIVES = {
     "^": lambda e, a, b, da, db: mul(mul(b, powc(a, b.value - 1.0)), da),
 }
 
+# coordinate name -> {node: its derivative}
 _diff_cache = {}
 
 
 def diff(e, name):
     """Exact derivative of ``e`` with respect to coordinate ``name``."""
-    # depth-first, descending only into children not yet differentiated
-    stack = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = (node, name)
-        if key in _diff_cache:
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((child, False) for child in node.args
-                         if (child, name) not in _diff_cache)
-            continue
-        d = [_diff_cache[child, name] for child in node.args]
+    memo = _diff_cache.setdefault(name, {})
+    x = var(name)
+    for node in postorder([e], memo):
         if node.args:
-            res = _DERIVATIVES[node.op](node, *node.args, *d)
+            d = [memo[child] for child in node.args]
+            memo[node] = _DERIVATIVES[node.op](node, *node.args, *d)
         else:
-            res = ONE if node.kind == "var" and node.value == name else ZERO
-        _diff_cache[key] = res
-    return _diff_cache[e, name]
+            memo[node] = ONE if node is x else ZERO
+    return memo[e]
 
 
 # op -> (least precedence of its left operand, its own, least precedence of

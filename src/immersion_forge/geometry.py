@@ -44,6 +44,11 @@ def default_grid(n):
                default=2)
 
 
+def density_error(density):
+    """Why ``density`` cannot be a grid's values per axis, or None."""
+    return "grid density must be >= 2" if density < 2 else None
+
+
 @dataclass(frozen=True)
 class Chart:
     """A single convex coordinate box with a distinguished base point."""
@@ -89,8 +94,9 @@ class Chart:
         density defaults to ``default_grid(n)``."""
         if density is None:
             density = default_grid(self.n)
-        if density < 2:
-            raise GeometryError("grid density must be >= 2")
+        error = density_error(density)
+        if error:
+            raise GeometryError(error)
         axes = []
         for lo, hi in self.box:
             pad = GRID_MARGIN * (hi - lo)

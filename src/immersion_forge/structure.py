@@ -253,7 +253,7 @@ def determine_k(spec, point, ev=None, tol=1e-8):
     if abs(raw - k) > tol:
         raise StructureError(f"k = {raw} is not an integer at {point}")
     if not 1 <= k <= n:
-        raise StructureError(f"k = {k} out of range 1..{n} at {point}")
+        raise StructureError(f"k = {k:g} out of range 1..{n} at {point}")
     if spec.declared_k is not None and k != spec.declared_k:
         raise StructureError(
             f"k mismatch: determined {k}, declared {spec.declared_k}")

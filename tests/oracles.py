@@ -334,7 +334,9 @@ def parallel_map_residual(spec, point, ev=None):
     du = np.array([calc.dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(spec.n)])
     worst = 0.0
     for i in range(spec.n):
-        dF = bd.assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i], 0.0)
+        dF = bd.assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i])
+        # F is constant on xi_1 and xi_2
+        dF[spec.n + 1, spec.n + 1] = dF[spec.n + 2, spec.n + 2] = 0.0
         worst = max(worst, float(np.abs(dF + A[i] @ F - F @ A[i]).max()))
     return worst
 

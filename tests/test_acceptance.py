@@ -126,10 +126,10 @@ def test_criterion_6_roundtrip(capsys, catalog_structures):
 
 
 def test_criterion_7_equation_audit(capsys, catalog_structures):
-    h1, _ = catalog_structures["geodesic_slice"]
-    a1 = am.audit_equations(h1, h1.chart.grid(4))
-    h2, _ = catalog_structures["diagonal_cylinder"]
-    a2 = am.audit_equations(h2, h2.chart.grid(4))
+    h1, spec1 = catalog_structures["geodesic_slice"]
+    a1 = am.audit_equations(spec1, h1.chart.grid(4))
+    h2, spec2 = catalog_structures["diagonal_cylinder"]
+    a2 = am.audit_equations(spec2, h2.chart.grid(4))
     r1, r2 = a1.residuals, a2.residuals
     ok = (r1["gauss_f_outside"] < 1e-8 and r1["gauss_f_paired"] > 0.1
           and r2["codazzi_plus"] < 1e-8 and r2["codazzi_minus"] > 0.1)

@@ -378,6 +378,17 @@ def test_deep_chain_builds_evaluates_and_differentiates(rng):
     _agree_everywhere(exprs, _random_points(3, rng, -0.5, 0.5))
 
 
+def test_postorder_leaves_out_known_nodes_and_what_only_they_reach():
+    u1, u2, u3 = (ex.var(c) for c in ("u1", "u2", "u3"))
+    known = ex.call("sin", ex.mul(u1, u2))
+    r1, r2 = ex.add(known, u3), ex.call("cos", u2)
+    # u1 and u1*u2 lie under the known node only; r2 reaches u2 too
+    assert ex.postorder([r1, r2], {known: ex.ZERO}) == [u3, r1, u2, r2]
+    assert ex.postorder([r1, r2]) == [u3, u2, u1, ex.mul(u1, u2), known,
+                                      r1, r2]
+    assert ex.postorder([known], {known}) == []
+
+
 def test_derivative_nodes_do_not_depend_on_memo_order(monkeypatch):
     e = ex.parse("exp(sin(u1)*u2)/(2 + cos(u1*u2)) + sqrt(2 + u1^2)^3",
                  COORDS)

@@ -238,6 +238,13 @@ class TestChart:
         assert density == (8 if n <= 5 else 6)
         assert chart.grid().tobytes() == chart.grid(density).tobytes()
 
+    @pytest.mark.parametrize("density", [1, 0, -3])
+    def test_grid_density_below_2_rejected(self, density):
+        chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
+        with pytest.raises(geo.GeometryError) as err:
+            chart.grid(density)
+        assert str(err.value) == "grid density must be >= 2"
+
     def test_grids_share_endpoints_across_densities(self):
         chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
         coarse = {tuple(map(float, p)) for p in chart.grid(2)}

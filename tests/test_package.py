@@ -77,6 +77,34 @@ def test_no_function_in_src_imports():
     assert inside == []
 
 
+def test_structure_view_has_one_path():
+    """A hypersurface reaches its structure through cli.as_structure only:
+    it is the one caller of extract_structure and check_on_model."""
+    callers = {"extract_structure": set(), "check_on_model": set()}
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in callers:
+                callers[name].add(".".join(self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert callers == {"extract_structure": {"cli.as_structure"},
+                       "check_on_model": {"cli.as_structure"}}
+
+
 @pytest.mark.parametrize("module", [immersion_forge, ex])
 def test_star_import_resolves_every_public_name(module):
     namespace = {}

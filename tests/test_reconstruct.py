@@ -352,7 +352,7 @@ def test_empty_point_sets_give_empty_samples(name, catalog_structures):
     assert report.residuals == dict.fromkeys(st.RESIDUAL_KEYS, 0.0)
     assert report.usable.shape == (0,)
     assert all(col.shape == (0,) for col in report.values.values())
-    assert am.audit_equations(h, grid=[]).residuals == dict.fromkeys(
+    assert am.audit_equations(spec, grid=[]).residuals == dict.fromkeys(
         ("gauss_f_outside", "gauss_f_paired", "codazzi_plus",
          "codazzi_minus"), 0.0)
     assert h.check_on_model(grid=[]) == 0.0
@@ -362,7 +362,8 @@ def test_empty_point_sets_give_empty_samples(name, catalog_structures):
 POINT_SET_ENTRY_POINTS = {
     "admit": lambda h, spec, pts: st.admit(spec, grid=pts),
     "check_on_model": lambda h, spec, pts: h.check_on_model(grid=pts),
-    "audit_equations": lambda h, spec, pts: am.audit_equations(h, grid=pts),
+    "audit_equations": lambda h, spec, pts: am.audit_equations(
+        spec, grid=pts),
     "hypersurface_samples": lambda h, spec, pts: am.hypersurface_samples(
         h, pts),
     "immerse": lambda h, spec, pts: rc.immerse(spec, pts, step=1e-2),

@@ -173,6 +173,19 @@ def test_declared_k_mismatch_rejected(catalog_structures):
     assert any("k mismatch" in r for r in report.reasons)
 
 
+@pytest.mark.parametrize("f,k", [("5", "3"), ("-11", "-5"),
+                                 ("1999997", "999999"), ("1e200", "5e+199")])
+def test_out_of_range_k_is_named_in_short(f, k):
+    # on a line, k = (f + lambda + 2)/2; a k of 10^6 or more is printed in
+    # exponent form, not as an integer of up to 309 digits
+    chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.5,))
+    spec = oracles.structure_from_strings(
+        chart, g=[["1"]], S=[["0"]], f=[[f]], U=["0"], lam="-1")
+    with pytest.raises(st.StructureError) as err:
+        st.determine_k(spec, (0.5,))
+    assert str(err.value) == f"k = {k} out of range 1..1 at (0.5,)"
+
+
 def test_singular_grid_points_are_skipped_and_reported():
     chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.5,))
     spec = oracles.structure_from_strings(
