@@ -33,8 +33,7 @@ class ReconstructionError(Exception):
 def _gram_schmidt(vectors, G):
     """G-orthonormalize (G positive definite on the span), dropping defects."""
     out = []
-    for v in vectors:
-        w = np.array(v, dtype=float)
+    for w in vectors:
         for b in out:
             w = w - float(b @ G @ w) * b
         norm2 = float(w @ G @ w)
@@ -43,37 +42,45 @@ def _gram_schmidt(vectors, G):
     return out
 
 
-def synthesize_frame(ev, k):
-    """Adapted G-orthonormal base frame, columns ordered (+1 block, -1 block).
+def synthesize_frame(F, G, k):
+    """Adapted G-orthonormal frame for the bundle map F and the fiber metric
+    G at one point, columns ordered (+1 block, -1 block).
 
     xi1 and xi2 are exact eigenvectors of F (F xi1 = xi1, F xi2 = -xi2), so
     they seed the two blocks; xi2 is kept as the final, timelike section,
     which puts the reconstructed base point on the upper hyperboloid sheet.
     """
-    n = ev.S.shape[0]
-    N = n + 3
-    F = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
-    G = bd.assemble_gram(ev.g)
+    N = len(F)
     eye = np.eye(N)
-    plus_candidates = [eye[:, N - 2]] + [0.5 * (eye[:, a] + F[:, a])
-                                         for a in range(N)]
-    plus = _gram_schmidt(plus_candidates, G)
-    if len(plus) != k + 1:
-        raise ReconstructionError(
-            f"+1 eigenspace of F has dimension {len(plus)}, expected {k + 1}")
-    xi2 = eye[:, N - 1]
-    minus_candidates = []
-    for a in range(N):
-        v = 0.5 * (eye[:, a] - F[:, a])
-        v = v + float(v @ G @ xi2) * xi2        # project out the timelike seed
-        minus_candidates.append(v)
-    minus = _gram_schmidt(minus_candidates, G)
-    if len(minus) != n - k + 1:
-        raise ReconstructionError(
-            f"-1 eigenspace of F has dimension {len(minus) + 1}, "
-            f"expected {n - k + 2}")
-    cols = plus + minus + [xi2]
-    return np.column_stack(cols)
+    xi2 = eye[-1]
+    plus = _gram_schmidt([eye[-2], *(0.5 * (eye + F.T))], G)
+    # the timelike seed projected out of each -1 candidate
+    minus = _gram_schmidt([v + float(v @ G @ xi2) * xi2
+                           for v in 0.5 * (eye - F.T)], G) + [xi2]
+    for sign, block, size in (("+1", plus, k + 1), ("-1", minus, N - k - 1)):
+        if len(block) != size:
+            raise ReconstructionError(f"{sign} eigenspace of F has dimension "
+                                      f"{len(block)}, expected {size}")
+    return np.column_stack(plus + minus)
+
+
+def read_off(M, k, g=None):
+    """psi, N and, with the metric g (P, n, n), dpsi off frame components M
+    (P, n+3, n+3), keyed as in ``Samples``: psi_a = eps_a G(w, eta_a), w =
+    xi1 on the sphere slots a <= k and xi2 on the rest; N = eps G(xi, eta);
+    dpsi[:, i] = eps G(d_i, eta), a row.  Rows n .. n+2 of G = blockdiag(g,
+    1, 1, -1) are unit rows, so only dpsi reads g."""
+    n = M.shape[-1] - 3
+    eps = np.diag(geo.minkowski_metric(n + 3))
+    sphere = np.arange(n + 3) <= k
+    w, unit = np.where(sphere, n + 1, n + 2), np.where(sphere, 1.0, -1.0)
+    # + 0.0 reads a zero as +0, as G's row sum does; psi keeps the index's
+    # column-major layout, which the last bit of later products depends on
+    out = {"psi": eps * (unit * M[:, w, np.arange(n + 3)] + 0.0),
+           "normal": eps * (M[:, n] + 0.0)}
+    if g is not None:
+        out["dpsi"] = eps * (g @ M[:, :n])
+    return out
 
 
 class Immersion:
@@ -97,22 +104,29 @@ class Immersion:
         self.k = k if k is not None else st.determine_k(spec, self.base, ev)
         self.conn = bd.ConnectionField(spec)
         self.step = step
-        E0 = base_frame if base_frame is not None else synthesize_frame(ev, self.k)
-        self._check_base_frame(E0, ev)
-        self.base_frame = np.array(E0, dtype=float)
-        self.frames = {tuple(map(float, self.base)): self.base_frame}
-
-    def _check_base_frame(self, E0, ev):
-        N = self.spec.n + 3
-        G = bd.assemble_gram(ev.g)
         F = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
-        target = geo.minkowski_metric(N)
-        if np.abs(E0.T @ G @ E0 - target).max() > 1e-8:
+        G = bd.assemble_gram(ev.g)
+        E0 = np.array(synthesize_frame(F, G, self.k) if base_frame is None
+                      else base_frame, dtype=float)
+        if np.abs(E0.T @ G @ E0 - geo.minkowski_metric(len(G))).max() > 1e-8:
             raise ReconstructionError("base frame is not G-orthonormal")
-        sph = self.k + 1
-        if (np.abs(F @ E0[:, :sph] - E0[:, :sph]).max() > 1e-8
-                or np.abs(F @ E0[:, sph:] + E0[:, sph:]).max() > 1e-8):
+        signs = np.where(np.arange(len(F)) <= self.k, 1.0, -1.0)
+        if np.abs(F @ E0 - signs * E0).max() > 1e-8:
             raise ReconstructionError("base frame is not adapted to F")
+        self.base_frame = E0
+        self.frames = {tuple(map(float, self.base)): E0}
+
+    def _transport(self, segments, table):
+        """Transport ``table[p0]`` along each (p0, p1) of ``segments`` in
+        order, from one ``block_steps`` run; each end enters ``table``
+        unless a frame is there already.  The end frames, in order."""
+        ends = []
+        for (p0, p1), blocks in zip(segments,
+                                    self.conn.block_steps(segments, self.step)):
+            ends.append(self.conn.transport_segment(
+                p0, p1, table[p0], step=self.step, blocks=blocks))
+            table.setdefault(p1, ends[-1])
+        return ends
 
     def sample(self, point):
         return self.samples([point])[0]
@@ -121,7 +135,7 @@ class Immersion:
         """Samples at ``points`` (None: the chart grid), read off the frames
         with g evaluated once per ``geometry.GRID_CHUNK`` points.  The frame
         table is first filled at their missing staircase corners, parents
-        first, from one ``block_steps`` run over all of them."""
+        first."""
         points = self.spec.chart.points(points)
         ends, todo = [], {}         # missing corner -> the corner before it
         for p in points:
@@ -129,26 +143,16 @@ class Immersion:
             ends.append(path[-1])
             todo.update((b, a) for a, b in zip(path[:-1], path[1:])
                         if b not in self.frames)
-        segments = [(a, b) for b, a in todo.items()]
-        for (a, b), blocks in zip(segments,
-                                  self.conn.block_steps(segments, self.step)):
-            self.frames[b] = self.conn.transport_segment(
-                a, b, self.frames[a], step=self.step, blocks=blocks)
+        self._transport([(a, b) for b, a in todo.items()], self.frames)
         frames = [self.frames[e] for e in ends]
-        n = self.spec.n
-        N = n + 3
-        eps = np.diag(geo.minkowski_metric(N))
-        rows = np.array([n + 1] * (self.k + 1) + [n + 2] * (n - self.k + 2))
 
-        def read_off(start, chunk):
-            g = self.spec.connection_data_batch(chunk)[0]
-            # P[j, b, a] = G(e_b, eta_a) at the j-th point of the chunk
-            P = bd.assemble_gram(g) @ np.reshape(
-                frames[start:start + len(chunk)], (-1, N, N))
-            return {"psi": eps * P[:, rows, np.arange(N)],
-                    "normal": eps * P[:, n], "dpsi": eps * P[:, :n]}
+        def chunk_read_off(start, chunk):
+            g = self.spec.connection_fields(chunk)["g"]
+            geo.check_positive_definite(g, chunk)
+            return read_off(np.reshape(frames[start:start + len(chunk)],
+                                       (-1, *self.base_frame.shape)), self.k, g)
 
-        vals = geo.chunk_arrays(read_off, points)
+        vals = geo.chunk_arrays(chunk_read_off, points)
         # dpsi[j] stays the transpose of a row-major block: the last bit of
         # a matrix product depends on the memory layout of its operands
         return Samples(points, vals["psi"], vals["normal"],
@@ -265,16 +269,11 @@ def _shape_fd_residuals(imm, model, s, S):
     if not len(j):                      # every sample at a box corner
         return np.zeros(len(s))
     offset = np.eye(n)[i] * hp[j, i, None]
+    starts = [tuple(p) for p in s.points[j]] * 2
     ends = np.concatenate([s.points[j] + offset, s.points[j] - offset])
-    segments = list(zip([tuple(p) for p in s.points[j]] * 2, ends))
-    frames = [imm.conn.transport_segment(p0, p1, imm.frames[p0],
-                                         step=imm.step, blocks=blocks)
-              for (p0, p1), blocks in zip(
-                  segments, imm.conn.block_steps(segments, imm.step))]
-    # N = eps G(xi, eta) is eps times row n of the frame components, row n
-    # of G = blockdiag(g, 1, 1, -1) being a unit row
-    eps = np.diag(model.minkowski)
-    plus, minus = np.split(eps * np.array(frames)[:, n], 2)
+    frames = imm._transport(list(zip(starts, map(tuple, ends))),
+                            {p: imm.frames[p] for p in starts})
+    plus, minus = np.split(read_off(np.array(frames), imm.k)["normal"], 2)
     # psi_*(S e_d) in every direction d, S's columns kept as views
     turn = np.array([geo.matvec(s.dpsi, S[:, :, d]) for d in range(n)])
     defect = ((plus - minus) / (2.0 * hp[j, i, None])

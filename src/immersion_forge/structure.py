@@ -119,7 +119,7 @@ class StructureSpec:
         return geo.point_of(self.eval_batch([point]), 0)
 
     @cached_property
-    def _connection_evaluator(self):
+    def connection_fields(self):
         """Compiled fields entering the bundle connection."""
         coords = self.chart.coords
         return geo.compile_fields(
@@ -129,7 +129,7 @@ class StructureSpec:
     def connection_data_batch(self, points):
         """Stacked (g, gamma, S, f, u) at each of ``points``, shape (P, n)."""
         points = np.asarray(points, dtype=float)
-        v = self._connection_evaluator(points)
+        v = self.connection_fields(points)
         g = v["g"]
         geo.check_positive_definite(g, points)
         gamma = geo.christoffels_from_values(g, v["dg"])

@@ -22,10 +22,12 @@ def catalog_structures():
 
 @pytest.fixture(scope="session")
 def mixed_structures():
-    """(hypersurface, structure) of the two mixed k = 2 inputs, and of an
+    """(hypersurface, structure) of the two mixed k = 2 inputs, of the
+    n = 3 members of the mixed family for k = 1 and 3, and of an
     inadmissible mutant of ``mixed_s2h2`` with S scaled by 1.1."""
     out = {}
-    for h in (oracles.mixed_s2h2(), oracles.mixed_s2h3()):
+    for h in (oracles.mixed_s2h2(), oracles.mixed_s2h3(),
+              oracles.mixed_family(3, 1), oracles.mixed_family(3, 3)):
         out[h.name] = (h, am.extract_structure(h))
     h, spec = out["mixed_s2h2"]
     out["mixed_s2h2_S1.1"] = (h, oracles.scaled_shape_operator(spec, 1.1))

@@ -37,9 +37,10 @@ The test-only helpers are references that no command runs:
   extraction reference, one Laplace expansion with no memo per
   determinant, which ``ambient.sym_minor``'s memoized minors replaced;
   the tests check that ``ambient`` builds the very same nodes;
-* ``slice_hypersurface``, ``mixed_s2h2`` and ``mixed_s2h3``: ground truth
-  beyond the catalog, in n = 4 ... 7 and with k = 2, and
-  ``hypersurface_document``, the CLI input document of one of them;
+* ``slice_hypersurface``, ``mixed_family``, ``mixed_s2h2`` and
+  ``mixed_s2h3``: ground truth beyond the catalog, in n = 4 ... 7 and for
+  every k, and ``hypersurface_document``, the CLI input document of one of
+  them;
 * ``scaled_shape_operator``: a structure with S scaled by a constant, an
   inadmissible mutant of an admissible one.
 """
@@ -1006,7 +1007,7 @@ def _dot_row(row, vec):
 
 
 # ---------------------------------------------------------------------------
-# hypersurfaces beyond the catalog: n = 4 ... 7 and k = 2
+# hypersurfaces beyond the catalog: n = 4 ... 7 and every k
 
 
 def slice_hypersurface(n):
@@ -1021,14 +1022,29 @@ def slice_hypersurface(n):
     return am.ParametrizedHypersurface(chart, x, k=1, name=f"slice_n{n}")
 
 
+def mixed_family(n, k):
+    """A hypersurface of S^k x H^(n-k+1), 1 <= k <= n, whose tangent spaces
+    mix the factors, so S, U and lambda all vary.  u1 is shared: it turns
+    the sphere point by the angle 0.6 u1 and boosts the hyperbolic point by
+    0.8 u1.  The hyperbolic point takes the n - k more coordinates
+    u2 ... u(n-k+1), the first outermost, and the sphere point the k - 1
+    more angles u(n-k+2) ... un, the last outermost; on [-0.4, 0.4]^n."""
+    coords = tuple(f"u{i}" for i in range(1, n + 1))
+    sphere = ["cos(0.6*u1)", "sin(0.6*u1)"]
+    for t in coords[n - k + 1:]:
+        sphere = [f"cos({t})*{x}" for x in sphere] + [f"sin({t})"]
+    hyperbolic = ["sinh(0.8*u1)", "cosh(0.8*u1)"]
+    for t in reversed(coords[1:n - k + 1]):
+        hyperbolic = [f"sinh({t})"] + [f"cosh({t})*{x}" for x in hyperbolic]
+    chart = geo.Chart(coords, ((-0.4, 0.4),) * n,
+                      ((0.05, -0.1, 0.1) + (0.02,) * n)[:n])
+    return am.ParametrizedHypersurface(chart, sphere + hyperbolic, k=k,
+                                       name=f"mixed_s{k}h{n - k + 1}")
+
+
 def mixed_s2h2():
-    """A hypersurface of S^2 x H^2 (n = 3, k = 2) whose tangent spaces mix
-    the factors, so S, U and lambda all vary."""
-    chart = geo.Chart(("u1", "u2", "u3"), ((-0.4, 0.4),) * 3,
-                      (0.05, -0.1, 0.1))
-    x = ("cos(u3)*cos(0.6*u1)", "cos(u3)*sin(0.6*u1)", "sin(u3)", "sinh(u2)",
-         "cosh(u2)*sinh(0.8*u1)", "cosh(u2)*cosh(0.8*u1)")
-    return am.ParametrizedHypersurface(chart, x, k=2, name="mixed_s2h2")
+    """``mixed_family(3, 2)``, a hypersurface of S^2 x H^2."""
+    return mixed_family(3, 2)
 
 
 def mixed_s2h3():

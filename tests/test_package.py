@@ -105,6 +105,38 @@ def test_structure_view_has_one_path():
                        "check_on_model": {"cli.as_structure"}}
 
 
+def _assigned_or_defined(tree):
+    """Each function, class and method name of a module, and each name and
+    attribute it assigns."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            yield sub.name
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            yield sub.attr
+
+
+def test_no_module_reads_another_modules_private_names():
+    """An underscore attribute (not a dunder) read off anything but
+    ``self`` is one the reading module defines: no module in the package
+    reaches into another's private names."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    defined = {name: set(_assigned_or_defined(tree))
+               for name, tree in trees.items()}
+    foreign = [f"{name}:{sub.lineno} {sub.attr}"
+               for name, tree in trees.items() for sub in ast.walk(tree)
+               if isinstance(sub, ast.Attribute)
+               and isinstance(sub.ctx, ast.Load)
+               and sub.attr.startswith("_") and not _is_dunder(sub.attr)
+               and getattr(sub.value, "id", None) != "self"
+               and sub.attr not in defined[name]
+               and any(sub.attr in defined[other] for other in defined)]
+    assert foreign == []
+
+
 @pytest.mark.parametrize("module", [immersion_forge, ex])
 def test_star_import_resolves_every_public_name(module):
     namespace = {}

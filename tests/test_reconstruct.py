@@ -15,9 +15,9 @@ def test_synthesized_frame_is_adapted(catalog_structures):
     _, spec = catalog_structures["diagonal_cylinder"]
     ev = spec.eval_at(spec.chart.base_point)
     k = st.determine_k(spec, spec.chart.base_point, ev)
-    E0 = rc.synthesize_frame(ev, k)
     G = bd.assemble_gram(ev.g)
     F = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
+    E0 = rc.synthesize_frame(F, G, k)
     N = spec.n + 3
     target = np.diag([1.0] * (N - 1) + [-1.0])
     assert np.abs(E0.T @ G @ E0 - target).max() < 1e-12
@@ -189,23 +189,48 @@ def test_shape_check_does_not_carry_transport_error(name, density,
 
 
 def test_frame_table_matches_uncached_transport(catalog_structures,
+                                                mixed_structures,
                                                 monkeypatch):
-    _, spec = catalog_structures["diagonal_cylinder"]
+    # the samples span several chunks; psi is read off row n + 1 on the
+    # k + 1 sphere slots and off row n + 2 on the rest, 2 + 4 and 4 + 2 of
+    # the 6 slots for the mixed members with k = 1 and k = 3
+    monkeypatch.setattr(geo, "GRID_CHUNK", 4)
+    for spec, density in ((catalog_structures["diagonal_cylinder"][1], 3),
+                          (mixed_structures["mixed_s1h3"][1], 2),
+                          (mixed_structures["mixed_s3h1"][1], 2)):
+        points = spec.chart.grid(density)
+        imm = rc.Immersion(spec, step=1e-2)
+        samples = imm.samples(points)
+        for j, p in enumerate(points):
+            reference = oracles.transport(
+                imm.conn, bd.staircase_path(imm.base, p), M=imm.base_frame,
+                step=1e-2)
+            assert np.array_equal(imm.frames[tuple(map(float, p))],
+                                  reference)
+            one = imm.sample(p)
+            expected = oracles.sample_from_frame(spec, p, reference, imm.k)
+            for field, ref in zip(("psi", "normal", "dpsi"), expected):
+                assert np.abs(getattr(one, field)
+                              - getattr(samples, field)[j]).max() <= 1e-15
+                assert np.abs(getattr(samples, field)[j]
+                              - ref).max() <= 1e-15
+
+
+def test_samples_in_the_frame_table_evaluate_no_christoffels(
+        catalog_structures, monkeypatch):
+    # the read-off needs g alone, and the frames are already transported
+    _, spec = catalog_structures["geodesic_slice_n3"]
     points = spec.chart.grid(3)
-    monkeypatch.setattr(geo, "GRID_CHUNK", 4)   # samples span three chunks
     imm = rc.Immersion(spec, step=1e-2)
-    samples = imm.samples(points)
-    for j, p in enumerate(points):
-        reference = oracles.transport(
-            imm.conn, bd.staircase_path(imm.base, p), M=imm.base_frame,
-            step=1e-2)
-        assert np.array_equal(imm.frames[tuple(map(float, p))], reference)
-        one = imm.sample(p)
-        expected = oracles.sample_from_frame(spec, p, reference, imm.k)
-        for field, ref in zip(("psi", "normal", "dpsi"), expected):
-            assert np.abs(getattr(one, field)
-                          - getattr(samples, field)[j]).max() <= 1e-15
-            assert np.abs(getattr(samples, field)[j] - ref).max() <= 1e-15
+    first = imm.samples(points)
+    calls = []
+    original = geo.christoffels_from_values
+    monkeypatch.setattr(geo, "christoffels_from_values",
+                        lambda *args: calls.append(1) or original(*args))
+    again = imm.samples(points)
+    assert calls == []
+    for field in ("psi", "normal", "dpsi"):
+        assert np.array_equal(getattr(again, field), getattr(first, field))
 
 
 def test_validation_walks_staircases_to_grid_points_only(catalog_structures,
@@ -260,9 +285,9 @@ def test_immerse_shares_stage_calls_across_segments(catalog_structures,
     rows = sum(2 * s + -(-s // bd.STAGE_BLOCK) for s in steps)
     calls = _count_field_calls(monkeypatch)
     rc.immerse(spec, points, step=step)
-    chunks = -(-len(points) // geo.GRID_CHUNK)
     assert len(corners) == 14           # one stage call each, unbatched
-    assert len(calls) <= -(-rows // geo.GRID_CHUNK) + chunks
+    # the read-off evaluates g alone, so every call is a stage call
+    assert len(calls) <= -(-rows // geo.GRID_CHUNK)
     assert max(calls) <= geo.GRID_CHUNK
 
 
@@ -292,12 +317,13 @@ ORACLE_GRID = {1: 5, 2: 3, 3: 2}
 
 
 @pytest.mark.parametrize("chunk", [geo.GRID_CHUNK, 3])
-@pytest.mark.parametrize("name", am.catalog_names())
+@pytest.mark.parametrize("name", [*am.catalog_names(), "mixed_s1h3",
+                                  "mixed_s3h1"])
 def test_array_checks_match_per_sample_oracle(name, chunk, catalog_structures,
-                                              monkeypatch):
+                                              mixed_structures, monkeypatch):
     # theorem residuals, congruence sup and sheet flag, bit for bit, with
     # the samples in one chunk and spread over several
-    h, spec = catalog_structures[name]
+    h, spec = {**catalog_structures, **mixed_structures}[name]
     monkeypatch.setattr(geo, "GRID_CHUNK", chunk)
     points = spec.chart.grid(ORACLE_GRID[spec.n])
     report = rc.validate_theorem(spec, points, step=1e-2)
@@ -313,6 +339,25 @@ def test_array_checks_match_per_sample_oracle(name, chunk, catalog_structures,
     assert np.array_equal(cong.residuals, ref["residuals"])
     assert cong.sup_residual == ref["sup"]
     assert cong.preserves_sheet is ref["preserves_sheet"]
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (4, 2)])
+def test_mixed_family_is_ground_truth_for_every_k(n, k):
+    """Each member lies on the model with S and U nonzero, is admitted with
+    its k, validates and rebuilds to a congruent copy."""
+    h = oracles.mixed_family(n, k)
+    assert h.check_on_model(grid_density=3) < 1e-12
+    spec = am.extract_structure(h)
+    admission = st.admit(spec, grid_density=3)
+    assert admission.admissible and admission.k == k, admission.reasons
+    ev = spec.eval_batch(h.chart.grid(3))
+    assert np.abs(ev.S).max() > 0.1 and np.abs(ev.U).max() > 0.1
+    points = h.chart.grid(2)
+    report = rc.validate_theorem(spec, points, step=0.008)
+    assert report.valid, report.to_dict()
+    cong = am.solve_congruence(report.samples,
+                               am.hypersurface_samples(h, points), k)
+    assert cong.congruent and cong.sup_residual < 1e-9
 
 
 def test_validation_at_box_corners_skips_the_shape_check(catalog_structures):

@@ -324,7 +324,7 @@ def test_field_batches_are_bit_identical_to_points(name, catalog_structures):
     points = lo + (hi - lo) * rng.random(size)
     parts = oracles.SUB_BATCHES + [slice(j, j + 1)
                                    for j in range(0, len(points), 43)]
-    for evaluate in (spec._full_evaluator, spec._connection_evaluator):
+    for evaluate in (spec._full_evaluator, spec.connection_fields):
         whole = evaluate(points)
         for part in parts:
             rows = evaluate(points[part])
