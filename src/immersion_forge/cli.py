@@ -387,7 +387,9 @@ def build_parser():
         p.add_argument("--step", type=float, default=bd.DEFAULT_STEP,
                        help="RK4 transport step (default %(default)g)")
         p.add_argument("--base", type=_point_arg, default=None,
-                       help="base point override, comma-separated floats")
+                       help="base point override, comma-separated floats; "
+                            "write a negative first coordinate as "
+                            "--base=-0.9,0.2")
         p.add_argument("--out", default=None,
                        help="report file (atomic overwrite; default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json",

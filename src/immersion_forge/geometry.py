@@ -4,8 +4,9 @@ Index conventions used throughout the package:
 
 * ``dg[i, j, k]``      is the coordinate derivative d_i g_jk,
 * ``gamma[m, i, j]``   is Gamma^m_ij (upper index first),
-* ``riem[l, i, j, k]`` are the components of R(d_i, d_j) d_k = R^l_ijk d_l
-  with the sign convention R(X, Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
+* ``riem[l, p, k]``     is R^l_ijk in R(d_i, d_j) d_k = R^l_ijk d_l at the
+  pairs (i, j) = (i[p], j[p]) of ``np.triu_indices(n, 1)`` alone, with the
+  sign convention R(X, Y) = [nabla_X, nabla_Y] - nabla_[X,Y].
 """
 
 import dataclasses
@@ -175,27 +176,13 @@ def chunk_arrays(fn, points):
 
 def point_of(batch, j):
     """Point j, or the points at slice j, of a dataclass of arrays with a
-    leading point axis (nested dataclasses and dicts of arrays included)."""
+    leading point axis (dicts of arrays included)."""
     values = {}
     for f in dataclasses.fields(batch):
         v = getattr(batch, f.name)
-        values[f.name] = (point_of(v, j) if dataclasses.is_dataclass(v) else
-                          {key: a[j] for key, a in v.items()}
+        values[f.name] = ({key: a[j] for key, a in v.items()}
                           if isinstance(v, dict) else v[j])
     return dataclasses.replace(batch, **values)
-
-
-@dataclass
-class PointCalculus:
-    """Numeric metric data (all from exact derivatives) at one point, or at
-    a batch of points along a leading axis."""
-
-    g: np.ndarray
-    ginv: np.ndarray
-    dg: np.ndarray       # dg[i, j, k] = d_i g_jk
-    gamma: np.ndarray    # gamma[m, i, j]
-    dgamma: np.ndarray   # dgamma[p, m, i, j] = d_p Gamma^m_ij
-    riem: np.ndarray     # riem[l, i, j, k]
 
 
 def definite_points(g):
@@ -227,17 +214,23 @@ def _sym(dg):
 
 
 def calculus_from_values(g, dg, ddg):
-    """Assemble Christoffels and curvature from exact g, dg, ddg values with
-    a leading point axis; g must be positive definite at every point."""
+    """{"ginv", "gamma", "riem"} from exact g, dg, ddg values with a leading
+    point axis, R at the pairs i < j alone; g must be positive definite at
+    every point."""
     ginv = np.linalg.inv(g)
     gamma = christoffels_from_values(g, dg, ginv)
     # d_p g^{ml} = -(ginv dg[p] ginv)^{ml}
     dginv = -np.einsum("...ma,...pab,...bl->...pml", ginv, dg, ginv)
     dgamma = 0.5 * (np.einsum("...pml,...ijl->...pmij", dginv, _sym(dg))
                     + np.einsum("...ml,...pijl->...pmij", ginv, _sym(ddg)))
-    riem = riemann_from_values(gamma, dgamma)
-    return PointCalculus(g=g, ginv=ginv, dg=dg,
-                         gamma=gamma, dgamma=dgamma, riem=riem)
+    # R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
+    i, j = np.triu_indices(g.shape[-1], 1)
+    d1 = np.swapaxes(dgamma, -4, -3)          # [l, i, j, k] = d_i G^l_jk
+    gi, gj = gamma[..., :, i, :], gamma[..., :, j, :]
+    riem = (d1[..., i, j, :] - d1[..., j, i, :]
+            + np.einsum("...lpm,...mpk->...lpk", gi, gj)
+            - np.einsum("...lpm,...mpk->...lpk", gj, gi))
+    return {"ginv": ginv, "gamma": gamma, "riem": riem}
 
 
 def christoffels_from_values(g, dg, ginv=None):
@@ -245,14 +238,6 @@ def christoffels_from_values(g, dg, ginv=None):
     if ginv is None:
         ginv = np.linalg.inv(g)
     return 0.5 * np.einsum("...ml,...ijl->...mij", ginv, _sym(dg))
-
-
-def riemann_from_values(gamma, dgamma):
-    """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    d1 = np.swapaxes(dgamma, -4, -3)          # [l, i, j, k] = d_i G^l_jk
-    quad = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
-    return (d1 - np.swapaxes(d1, -3, -2)
-            + quad - np.swapaxes(quad, -3, -2))
 
 
 def covariant_derivatives(T, dT, gamma):

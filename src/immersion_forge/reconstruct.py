@@ -135,10 +135,16 @@ class Immersion:
         """Samples at ``points`` (None: the chart grid), read off the frames
         with g evaluated once per ``geometry.GRID_CHUNK`` points.  The frame
         table is first filled at their missing staircase corners, parents
-        first."""
-        points = self.spec.chart.points(points)
+        first.  Raises PointSetError naming the first point outside the
+        chart box."""
+        chart = self.spec.chart
+        points = chart.points(points)
         ends, todo = [], {}         # missing corner -> the corner before it
         for p in points:
+            if not chart.contains(p):
+                raise geo.PointSetError(
+                    f"point {tuple(map(float, p))} lies outside the chart "
+                    f"box {[list(iv) for iv in chart.box]}")
             path = bd.staircase_path(self.base, p)
             ends.append(path[-1])
             todo.update((b, a) for a, b in zip(path[:-1], path[1:])
@@ -230,24 +236,26 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
     samples = imm.samples(points)
 
     def checks(start, chunk):
-        s, ev = samples[start:start + len(chunk)], spec.eval_batch(chunk)
+        s = samples[start:start + len(chunk)]
+        v = spec.connection_fields(chunk)
+        u = geo.matvec(v["g"], v["U"])          # as StructureEval.u forms it
         psi, N, dpsi = s.psi, s.normal, s.dpsi
         dpsiT_J = np.swapaxes(dpsi, -1, -2) @ model.minkowski
         return {
             # the wrong hyperboloid sheet fails the quadric
             "quadric": np.maximum(model.on_model_residual(psi),
                                   np.where(psi[:, -1] <= 0.0, 1.0, 0.0)),
-            "isometry": np.abs(dpsiT_J @ dpsi - ev.g).max((-2, -1)),
+            "isometry": np.abs(dpsiT_J @ dpsi - v["g"]).max((-2, -1)),
             "normal": np.maximum.reduce([
                 np.abs(model.inner(N, N) - 1.0),
                 np.abs(geo.matvec(dpsiT_J, N)).max(-1),
                 model.tangency_residual(psi, N)]),
             "product_relations": np.maximum(
-                np.abs(model.fhat @ dpsi - dpsi @ ev.f
-                       - N[:, :, None] * ev.u[:, None, :]).max((-2, -1)),
-                np.abs(geo.matvec(model.fhat, N) - geo.matvec(dpsi, ev.U)
-                       - ev.lam[:, None] * N).max(-1)),
-            "shape_operator": _shape_fd_residuals(imm, model, s, ev.S),
+                np.abs(model.fhat @ dpsi - dpsi @ v["f"]
+                       - N[:, :, None] * u[:, None, :]).max((-2, -1)),
+                np.abs(geo.matvec(model.fhat, N) - geo.matvec(dpsi, v["U"])
+                       - v["lam"][:, None] * N).max(-1)),
+            "shape_operator": _shape_fd_residuals(imm, model, s, v["S"]),
         }
 
     samples.residuals.update(geo.chunk_arrays(checks, points))

@@ -43,10 +43,13 @@ class InadmissibleStructureError(StructureError):
 
 @dataclass
 class StructureEval:
-    """All structure data, from exact derivatives, at one point or at a
-    batch of points along a leading axis (see ``geometry.point_of``)."""
+    """The structure data the checks read, from exact derivatives, at one
+    point or a batch of points along a leading axis (``geometry.point_of``)."""
 
-    calc: geo.PointCalculus
+    g: np.ndarray
+    ginv: np.ndarray
+    gamma: np.ndarray    # gamma[m, i, j] = Gamma^m_ij
+    riem: np.ndarray     # riem[l, p, k], R at the pairs i < j
     S: np.ndarray        # S^a_b
     dS: np.ndarray       # dS[p, a, b] = d_p S^a_b
     f: np.ndarray
@@ -57,13 +60,9 @@ class StructureEval:
     dlam: np.ndarray
 
     @property
-    def g(self):
-        return self.calc.g
-
-    @property
     def u(self):
         """Lowered U: u_i = g(U, d_i)."""
-        return geo.matvec(self.calc.g, self.U)
+        return geo.matvec(self.g, self.U)
 
 
 class StructureSpec:
@@ -112,19 +111,21 @@ class StructureSpec:
     def _eval_from_values(self, v):
         """StructureEval from the evaluator's values ``v`` (consumed), at
         points where g is positive definite."""
-        calc = geo.calculus_from_values(v.pop("g"), v.pop("dg"), v.pop("ddg"))
-        return StructureEval(calc=calc, **v)
+        g = v.pop("g")
+        calc = geo.calculus_from_values(g, v.pop("dg"), v.pop("ddg"))
+        return StructureEval(g=g, **calc, **v)
 
     def eval_at(self, point):
         return geo.point_of(self.eval_batch([point]), 0)
 
     @cached_property
     def connection_fields(self):
-        """Compiled fields entering the bundle connection."""
+        """Compiled first-order fields: the bundle connection's, and lambda."""
         coords = self.chart.coords
         return geo.compile_fields(
             [("g", self.g), ("dg", geo.derivatives(self.g, coords)),
-             ("S", self.S), ("f", self.f), ("U", self.U)], coords)
+             ("S", self.S), ("f", self.f), ("U", self.U), ("lam", self.lam)],
+            coords)
 
     def connection_data_batch(self, points):
         """Stacked (g, gamma, S, f, u) at each of ``points``, shape (P, n)."""
@@ -160,7 +161,7 @@ def check_algebraic(ev):
     """Residuals of the algebraic identities."""
     g, f, S, U, u = ev.g, ev.f, ev.S, ev.U, ev.u
     lam = np.asarray(ev.lam)
-    ginv = ev.calc.ginv
+    ginv = ev.ginv
     fT, ST = np.swapaxes(f, -1, -2), np.swapaxes(S, -1, -2)
     ff_defect = f @ f - np.eye(U.shape[-1]) + U[..., :, None] * u[..., None, :]
     # each defect matrix is measured by its columns; f and S symmetric: the
@@ -199,7 +200,7 @@ def check_gauss(ev, paired=False):
     # R(e_i, e_j) e_k - rhs at [..., a, pair, k], in rhs's array: the vector
     # index keeps the largest stride, which fixes einsum's summation order
     rhs = wSS + 0.5 * (wf + wIJf)
-    defect = np.subtract(ev.calc.riem[..., :, i, j, :], rhs, out=rhs)
+    defect = np.subtract(ev.riem, rhs, out=rhs)
     return _sup_gnorm(np.moveaxis(defect, -3, -1), g)
 
 
@@ -209,7 +210,7 @@ def check_codazzi(ev, sign=1.0):
     The equation is (nabla_X S)Y - (nabla_Y S)X = sign (u(X)Y - u(Y)X)/2.
     """
     i, j = np.triu_indices(ev.S.shape[-1], 1)
-    nS = geo.covariant_derivatives(ev.S, ev.dS, ev.calc.gamma)
+    nS = geo.covariant_derivatives(ev.S, ev.dS, ev.gamma)
     eye, u = np.eye(ev.S.shape[-1]), ev.u
     # ((nabla_i S) e_j - (nabla_j S) e_i)^a and (u_i e_j - u_j e_i)^a / 2
     # at [..., pair, a]
@@ -220,7 +221,7 @@ def check_codazzi(ev, sign=1.0):
 
 def check_gradients(ev):
     """Residuals of the covariant-derivative identities for f, U, lambda."""
-    g, S, f, U, u, gamma = ev.g, ev.S, ev.f, ev.U, ev.u, ev.calc.gamma
+    g, S, f, U, u, gamma = ev.g, ev.S, ev.f, ev.U, ev.u, ev.gamma
     lam = np.asarray(ev.lam)
     gS = g @ S
     # (nabla_i f) e_j = u(e_j) S e_i + g(S e_i, e_j) U, at [..., i, j, a]

@@ -22,7 +22,12 @@ The test-only helpers are references that no command runs:
   powers are ``_apply_unary`` and ``_apply_pow``, the ``math`` reference
   for the numpy op table that the tapes run and constants fold through;
 * ``expr_matrix`` and ``structure_from_strings``: fields from expression
-  strings; ``MetricField.calculus_at``: the metric calculus at one point;
+  strings;
+* ``PointCalculus``, ``calculus_from_values`` and ``riemann_from_values``:
+  the curvature reference, d_p Gamma and R at every (i, j), where
+  ``geometry.calculus_from_values`` forms R at the pairs i < j alone and
+  keeps no d_p Gamma; ``MetricField.calculus_at`` and
+  ``reference_calculus_at``: the reference at one point;
 * ``eigen_multiplicity_k``: k from the +1 eigenspace of F, independent of
   the trace identity;
 * ``transport``, ``gram_drift``, ``rectangle_loop`` and
@@ -47,6 +52,7 @@ The test-only helpers are references that no command runs:
 
 import math
 import re
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -60,7 +66,8 @@ from immersion_forge.ambient import AmbientModel, NotOnModelError
 from immersion_forge.expr import (
     FUNCTIONS, NAMED_CONSTANTS, DomainError, ExprError, ParseError, add, call,
     const, div, mul, neg, powc, sub, var)
-from immersion_forge.geometry import GRID_MARGIN, SingularMetricError
+from immersion_forge.geometry import (
+    GRID_MARGIN, SingularMetricError, _sym, christoffels_from_values)
 
 # sub-batches at unaligned offsets and of odd lengths, up to row 1 032: a
 # batch row must not depend on where in a batch, or in what batch, it is
@@ -108,8 +115,8 @@ def check_algebraic(spec, ev):
     u = g @ U
     n = spec.n
     res = {}
-    res["f_symmetric"] = _operator_defect(f.T @ g - g @ f, ev.calc.ginv)
-    res["S_symmetric"] = _operator_defect(S.T @ g - g @ S, ev.calc.ginv)
+    res["f_symmetric"] = _operator_defect(f.T @ g - g @ f, ev.ginv)
+    res["S_symmetric"] = _operator_defect(S.T @ g - g @ S, ev.ginv)
     ff_defect = f @ f - np.eye(n) + np.outer(U, u)
     res["f_squared"] = max(gnorm(g, ff_defect[:, j]) for j in range(n))
     res["fU"] = gnorm(g, f @ U + lam * U)
@@ -121,13 +128,14 @@ def check_gauss(spec, ev, paired=False):
     n = spec.n
     if n == 1:
         return 0.0
-    g, S, f, riem = ev.g, ev.S, ev.f, ev.calc.riem
+    g, S, f, riem = ev.g, ev.S, ev.f, ev.riem
     eye = np.eye(n)
     worst = 0.0
+    pair = 0            # riem holds R at the pairs i < j, in this order
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                lhs = riem[:, i, j, k]
+                lhs = riem[:, pair, k]
                 wSS = wedge(S[:, i], S[:, j], eye[:, k], g)
                 wIJf = wedge(eye[:, i], eye[:, j], f[:, k], g)
                 if paired:
@@ -136,6 +144,7 @@ def check_gauss(spec, ev, paired=False):
                     wf = f @ wedge(eye[:, i], eye[:, j], eye[:, k], g)
                 rhs = wSS + 0.5 * (wf + wIJf)
                 worst = max(worst, gnorm(g, lhs - rhs))
+            pair += 1
     return worst
 
 
@@ -147,7 +156,7 @@ def check_codazzi(spec, ev, sign=1.0):
     u = g @ ev.U
     eye = np.eye(n)
     worst = 0.0
-    nab = [nabla(ev.S, ev.dS, ev.calc.gamma, i) for i in range(n)]
+    nab = [nabla(ev.S, ev.dS, ev.gamma, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             lhs = nab[i][:, j] - nab[j][:, i]
@@ -159,7 +168,7 @@ def check_codazzi(spec, ev, sign=1.0):
 def check_gradients(spec, ev):
     n = spec.n
     g, S, f, U, lam = ev.g, ev.S, ev.f, ev.U, float(ev.lam)
-    gamma = ev.calc.gamma
+    gamma = ev.gamma
     u = g @ U
     res_f = 0.0
     res_U = 0.0
@@ -291,7 +300,7 @@ def coefficient_derivatives(spec, point, ev=None):
     """dA[p, i] = d_p A_i via the product rule on exact field derivatives."""
     ev = ev or spec.eval_at(point)
     n = spec.n
-    calc = ev.calc
+    calc = reference_calculus_at(spec, point)
     g, dg = calc.g, calc.dg
     S, dS, f, df, U, dU = ev.S, ev.dS, ev.f, ev.df, ev.U, ev.dU
     du = np.array([dg[p] @ U + g @ dU[p] for p in range(n)])
@@ -303,7 +312,7 @@ def coefficient_derivatives(spec, point, ev=None):
 def flatness_residual(spec, point, ev=None):
     """sup_{i<j} max-entry of d_i A_j - d_j A_i + [A_i, A_j]."""
     ev = ev or spec.eval_at(point)
-    A = bd.assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+    A = bd.assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
     dA = coefficient_derivatives(spec, point, ev)
     worst = 0.0
     for i in range(spec.n):
@@ -316,10 +325,10 @@ def flatness_residual(spec, point, ev=None):
 def metric_residual(spec, point, ev=None):
     """Compatibility of D with the fiber metric: d_i G = A_i^T G + G A_i."""
     ev = ev or spec.eval_at(point)
-    A = bd.assemble_coefficients(ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+    A = bd.assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
     G = bd.assemble_gram(ev.g)
     dG = np.zeros_like(A)
-    dG[:, :spec.n, :spec.n] = ev.calc.dg
+    dG[:, :spec.n, :spec.n] = spec.connection_fields([point])["dg"][0]
     worst = 0.0
     for i in range(spec.n):
         worst = max(worst, float(np.abs(dG[i] - A[i].T @ G - G @ A[i]).max()))
@@ -329,10 +338,10 @@ def metric_residual(spec, point, ev=None):
 def parallel_map_residual(spec, point, ev=None):
     """Residual of D F = 0: d_i F + [A_i, F] per direction."""
     ev = ev or spec.eval_at(point)
-    calc = ev.calc
-    A = bd.assemble_coefficients(ev.g, calc.gamma, ev.S, ev.f, ev.u)
+    A = bd.assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
     F = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
-    du = np.array([calc.dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(spec.n)])
+    dg = spec.connection_fields([point])["dg"][0]
+    du = np.array([dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(spec.n)])
     worst = 0.0
     for i in range(spec.n):
         dF = bd.assemble_bundle_map(ev.df[i], ev.dU[i], du[i], ev.dlam[i])
@@ -726,8 +735,49 @@ class MetricField:
     def calculus_at(self, point):
         v = self._evaluator([point])
         geo.check_positive_definite(v["g"], [tuple(point)])
-        return geo.point_of(geo.calculus_from_values(
-            v["g"], v["dg"], v["ddg"]), 0)
+        return geo.point_of(calculus_from_values(v["g"], v["dg"], v["ddg"]), 0)
+
+
+@dataclass
+class PointCalculus:
+    """Numeric metric data (all from exact derivatives) at one point, or at
+    a batch of points along a leading axis."""
+
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray       # dg[i, j, k] = d_i g_jk
+    gamma: np.ndarray    # gamma[m, i, j]
+    dgamma: np.ndarray   # dgamma[p, m, i, j] = d_p Gamma^m_ij
+    riem: np.ndarray     # riem[l, i, j, k]
+
+
+def calculus_from_values(g, dg, ddg):
+    """Assemble Christoffels and curvature from exact g, dg, ddg values with
+    a leading point axis; g must be positive definite at every point."""
+    ginv = np.linalg.inv(g)
+    gamma = christoffels_from_values(g, dg, ginv)
+    # d_p g^{ml} = -(ginv dg[p] ginv)^{ml}
+    dginv = -np.einsum("...ma,...pab,...bl->...pml", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("...pml,...ijl->...pmij", dginv, _sym(dg))
+                    + np.einsum("...ml,...pijl->...pmij", ginv, _sym(ddg)))
+    riem = riemann_from_values(gamma, dgamma)
+    return PointCalculus(g=g, ginv=ginv, dg=dg,
+                         gamma=gamma, dgamma=dgamma, riem=riem)
+
+
+def riemann_from_values(gamma, dgamma):
+    """R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
+    d1 = np.swapaxes(dgamma, -4, -3)          # [l, i, j, k] = d_i G^l_jk
+    quad = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    return (d1 - np.swapaxes(d1, -3, -2)
+            + quad - np.swapaxes(quad, -3, -2))
+
+
+def reference_calculus_at(spec, point):
+    """The reference calculus of the metric of the structure ``spec`` at one
+    point, from the g, dg and ddg that ``StructureSpec.eval_at`` reads."""
+    v = spec._full_evaluator([point])
+    return geo.point_of(calculus_from_values(v["g"], v["dg"], v["ddg"]), 0)
 
 
 def eigen_multiplicity_k(ev, tol=1e-6):

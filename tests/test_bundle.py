@@ -131,7 +131,7 @@ def test_connection_data_batch_matches_pointwise(name, catalog_structures):
     for j, point in enumerate(points):
         single = spec.connection_data_at(point)
         ev = spec.eval_at(point)        # the full table, compiled apart
-        full = (ev.g, ev.calc.gamma, ev.S, ev.f, ev.u)
+        full = (ev.g, ev.gamma, ev.S, ev.f, ev.u)
         for got, one, ref in zip(batch, single, full):
             np.testing.assert_allclose(got[j], one, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(got[j], ref, rtol=1e-13, atol=1e-13)

@@ -126,6 +126,32 @@ def test_flat_metric_has_zero_curvature():
     assert np.abs(calc.gamma).max() == 0.0
 
 
+# the catalog at grid 3, then the inputs beyond it at grid 2 or 3
+PAIR_STACK_INPUTS = {
+    **{name: (lambda name=name: am.catalog_entry(name), 3)
+       for name in am.catalog_names()},
+    **{f"slice_n{n}": (lambda n=n: oracles.slice_hypersurface(n), 2)
+       for n in (4, 5, 6, 7)},
+    **{f"mixed_{n}_{k}": (lambda n=n, k=k: oracles.mixed_family(n, k), d)
+       for n, k, d in ((3, 1, 3), (3, 2, 3), (3, 3, 3), (4, 2, 2))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_STACK_INPUTS))
+def test_curvature_pair_stack_equals_the_full_reference(name):
+    """``calculus_from_values`` keeps R at the pairs i < j, in the order of
+    ``np.triu_indices``; each entry is bit-equal to the full reference."""
+    make, density = PAIR_STACK_INPUTS[name]
+    spec = am.extract_structure(make())
+    v = spec._full_evaluator(spec.chart.grid(density))
+    got = geo.calculus_from_values(v["g"], v["dg"], v["ddg"])
+    want = oracles.calculus_from_values(v["g"], v["dg"], v["ddg"])
+    i, j = np.triu_indices(spec.n, 1)
+    assert np.array_equal(got["riem"], want.riem[..., :, i, j, :])
+    assert np.array_equal(got["gamma"], want.gamma)
+    assert np.array_equal(got["ginv"], want.ginv)
+
+
 def test_singular_metric_rejected():
     chart = geo.Chart(("u1",), ((-1.0, 1.0),), (0.0,))
     g = oracles.expr_matrix([["u1"]], chart.coords)

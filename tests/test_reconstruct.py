@@ -454,6 +454,19 @@ def test_wrong_point_sets_raise_the_point_set_error(
     assert tail in message
 
 
+@pytest.mark.parametrize("entry", ["immerse", "Immersion.samples",
+                                   "validate_theorem"])
+def test_points_outside_the_chart_box_raise_the_point_set_error(
+        entry, catalog_structures):
+    """Reconstruction refuses a point outside the box, where the fields
+    may not hold and no step cap bounds the transport, and names it."""
+    h, spec = catalog_structures["geodesic_slice"]
+    with pytest.raises(geo.PointSetError) as err:
+        POINT_SET_ENTRY_POINTS[entry](h, spec, [(0.5, 0.0), (0.95, 0.0)])
+    assert str(err.value) == ("point (0.95, 0.0) lies outside the chart box "
+                              "[[-0.9, 0.9], [-0.9, 0.9]]")
+
+
 def test_a_nan_residual_fails_validation():
     report = rc.TheoremReport(
         k=1, residuals={"quadric": float("nan"), "isometry": 0.0},
