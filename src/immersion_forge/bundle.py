@@ -7,11 +7,13 @@ component vector c is parallel along a curve gamma iff
 
     dc/dt = -(sum_i gamma'_i A_i(gamma(t))) c.
 
-Admissible structures make this connection flat and metric; transport is a
-fixed-step RK4 integration of the matrix ODE along polyline paths.  Each RK4
-step of this linear ODE is a matrix that does not depend on the frame, so a
-segment advances by one ordered product of step propagators per block of
-steps, and the stage points of many segments share field batches.
+A transport stage point forms that one matrix, ``stage_matrices``, not the
+n matrices A_i.  Admissible structures make this connection flat and
+metric; transport is a fixed-step RK4 integration of the matrix ODE along
+polyline paths.  Each RK4 step of this linear ODE is a matrix that does not
+depend on the frame, so a segment advances by one ordered product of step
+propagators per block of steps, and the stage points of many segments share
+field batches.
 """
 
 import numpy as np
@@ -47,36 +49,26 @@ def step_error(box, step):
     return None
 
 
-def assemble_coefficients(g, gamma, S, f, u):
-    """Connection matrices A_i, one per coordinate direction.
-
-    The inputs may carry a leading point axis; A then has shape
-    (P, n, n + 3, n + 3).
-    """
-    return _coefficient_blocks(g, gamma, g @ S, g @ f, S, f, u,
-                               np.eye(g.shape[-1]))
-
-
-def _coefficient_blocks(g, gamma, gS, gf, S, f, u, eye):
-    """A[..., i] from its ingredients; affine in them, with the constant
-    part carried by ``eye`` (zero for derivatives of A)."""
+def stage_matrices(g, gamma, S, f, u, delta):
+    """B = -sum_i delta_i A_i, with the leading point axes of the inputs;
+    along an axis e_k every other term is a signed zero, so B is
+    -delta_k A_k entry for entry."""
     n = g.shape[-1]
-    N = n + 3
-    A = np.zeros(g.shape[:-2] + (n, N, N))
-    gfT = np.swapaxes(gf, -1, -2)
-    fT = np.swapaxes(f, -1, -2)
-    A[..., :n, :n] = np.swapaxes(gamma, -3, -2)   # Gamma^a_ib
-    A[..., n, :n] = np.swapaxes(gS, -1, -2)       # g(S d_i, d_b)
-    A[..., n + 1, :n] = -0.5 * (g + gfT)
-    A[..., n + 2, :n] = 0.5 * (g - gfT)
-    A[..., :n, n] = -np.swapaxes(S, -1, -2)
-    A[..., n + 1, n] = -0.5 * u
-    A[..., n + 2, n] = -0.5 * u
-    A[..., :n, n + 1] = 0.5 * (eye + fT)
-    A[..., n, n + 1] = 0.5 * u
-    A[..., :n, n + 2] = 0.5 * (eye - fT)
-    A[..., n, n + 2] = -0.5 * u
-    return A
+    gT = np.swapaxes(g, -1, -2)
+    gf = g @ f
+    eye = np.eye(n)
+    ud = 0.5 * geo.dot(delta, u)
+    B = np.zeros(g.shape[:-2] + (n + 3, n + 3))
+    B[..., :n, :n] = -np.einsum("...i,...aib->...ab", delta, gamma)
+    B[..., n, :n] = -geo.matvec(g @ S, delta)
+    B[..., n + 1, :n] = 0.5 * geo.matvec(gT + gf, delta)
+    B[..., n + 2, :n] = -0.5 * geo.matvec(gT - gf, delta)
+    B[..., :n, n] = geo.matvec(S, delta)
+    B[..., n + 1, n] = B[..., n + 2, n] = B[..., n, n + 2] = ud
+    B[..., n, n + 1] = -ud
+    B[..., :n, n + 1] = -0.5 * geo.matvec(eye + f, delta)
+    B[..., :n, n + 2] = -0.5 * geo.matvec(eye - f, delta)
+    return B
 
 
 def assemble_gram(g):
@@ -115,8 +107,9 @@ class ConnectionField:
         return self.n + 3
 
     def coefficients(self, point):
-        g, gamma, S, f, u = self.spec.connection_data_at(point)
-        return assemble_coefficients(g, gamma, S, f, u)
+        """The matrices A_i at ``point``, (n, n + 3, n + 3): A_i = -B(e_i)."""
+        data = self.spec.connection_data_at(point)
+        return -np.array([stage_matrices(*data, e) for e in np.eye(self.n)])
 
     # -- transport ----------------------------------------------------------
 
@@ -126,10 +119,10 @@ class ConnectionField:
 
         A segment takes ceil(length / step) RK4 steps of h = 1 / steps, cut
         into blocks of at most STAGE_BLOCK steps from its own start; each
-        block gives ``_block_step`` of its stage matrices
-        B = -delta . A(p0 + t delta).  The stage points of consecutive
-        blocks are evaluated ``geometry.GRID_CHUNK`` per field call, each
-        on its own: a segment's result does not depend on its batch.
+        block gives ``_block_step`` of its ``stage_matrices`` along delta
+        at the points p0 + t delta.  The stage points of consecutive blocks
+        are evaluated ``geometry.GRID_CHUNK`` per field call, each on its
+        own: a segment's result does not depend on its batch.
         """
         blocks = [(j, first, steps, min(STAGE_BLOCK, steps - first))
                   for j, (p0, p1) in enumerate(segments)
@@ -148,9 +141,9 @@ class ConnectionField:
                 r = np.arange(done, min(done + geo.GRID_CHUNK, ends[-1]))
                 i = np.searchsorted(ends, r, side="right")   # block of row r
                 t = (2 * (first[i] + count[i]) + 1 + r - ends[i]) / (2.0 * steps[i])
-                A = assemble_coefficients(*self.spec.connection_data_batch(
-                    p0[i] + t[:, None] * delta[i]))
-                B = np.concatenate([B, -np.einsum("ji,jiab->jab", delta[i], A)])
+                B = np.concatenate([B, stage_matrices(
+                    *self.spec.connection_data_batch(
+                        p0[i] + t[:, None] * delta[i]), delta[i])])
             out.append(_block_step(B[:size], 1.0 / steps[k]))
             B = B[size:]
             if k + 1 == len(seg) or seg[k + 1] != seg[k]:

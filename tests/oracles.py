@@ -28,6 +28,10 @@ The test-only helpers are references that no command runs:
   ``geometry.calculus_from_values`` forms R at the pairs i < j alone and
   keeps no d_p Gamma; ``MetricField.calculus_at`` and
   ``reference_calculus_at``: the reference at one point;
+* ``assemble_coefficients``: the connection reference, all n matrices
+  A_i at once, where ``bundle.stage_matrices`` forms only the contracted
+  B = -sum_i delta_i A_i; its affine core ``_coefficient_blocks`` forms
+  d_p A_i for the flatness residual too;
 * ``eigen_multiplicity_k``: k from the +1 eigenspace of F, independent of
   the trace identity;
 * ``transport``, ``gram_drift``, ``rectangle_loop`` and
@@ -296,6 +300,38 @@ def check_on_model(h, grid, tol=1e-10):
 # flatness, metricity and D F = 0 of the bundle connection at one point
 
 
+def assemble_coefficients(g, gamma, S, f, u):
+    """Connection matrices A_i, one per coordinate direction.
+
+    The inputs may carry a leading point axis; A then has shape
+    (P, n, n + 3, n + 3).
+    """
+    return _coefficient_blocks(g, gamma, g @ S, g @ f, S, f, u,
+                               np.eye(g.shape[-1]))
+
+
+def _coefficient_blocks(g, gamma, gS, gf, S, f, u, eye):
+    """A[..., i] from its ingredients; affine in them, with the constant
+    part carried by ``eye`` (zero for derivatives of A)."""
+    n = g.shape[-1]
+    N = n + 3
+    A = np.zeros(g.shape[:-2] + (n, N, N))
+    gfT = np.swapaxes(gf, -1, -2)
+    fT = np.swapaxes(f, -1, -2)
+    A[..., :n, :n] = np.swapaxes(gamma, -3, -2)   # Gamma^a_ib
+    A[..., n, :n] = np.swapaxes(gS, -1, -2)       # g(S d_i, d_b)
+    A[..., n + 1, :n] = -0.5 * (g + gfT)
+    A[..., n + 2, :n] = 0.5 * (g - gfT)
+    A[..., :n, n] = -np.swapaxes(S, -1, -2)
+    A[..., n + 1, n] = -0.5 * u
+    A[..., n + 2, n] = -0.5 * u
+    A[..., :n, n + 1] = 0.5 * (eye + fT)
+    A[..., n, n + 1] = 0.5 * u
+    A[..., :n, n + 2] = 0.5 * (eye - fT)
+    A[..., n, n + 2] = -0.5 * u
+    return A
+
+
 def coefficient_derivatives(spec, point, ev=None):
     """dA[p, i] = d_p A_i via the product rule on exact field derivatives."""
     ev = ev or spec.eval_at(point)
@@ -306,13 +342,13 @@ def coefficient_derivatives(spec, point, ev=None):
     du = np.array([dg[p] @ U + g @ dU[p] for p in range(n)])
     dgS = np.array([dg[p] @ S + g @ dS[p] for p in range(n)])
     dgf = np.array([dg[p] @ f + g @ df[p] for p in range(n)])
-    return bd._coefficient_blocks(dg, calc.dgamma, dgS, dgf, dS, df, du, 0.0)
+    return _coefficient_blocks(dg, calc.dgamma, dgS, dgf, dS, df, du, 0.0)
 
 
 def flatness_residual(spec, point, ev=None):
     """sup_{i<j} max-entry of d_i A_j - d_j A_i + [A_i, A_j]."""
     ev = ev or spec.eval_at(point)
-    A = bd.assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
+    A = assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
     dA = coefficient_derivatives(spec, point, ev)
     worst = 0.0
     for i in range(spec.n):
@@ -325,7 +361,7 @@ def flatness_residual(spec, point, ev=None):
 def metric_residual(spec, point, ev=None):
     """Compatibility of D with the fiber metric: d_i G = A_i^T G + G A_i."""
     ev = ev or spec.eval_at(point)
-    A = bd.assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
+    A = assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
     G = bd.assemble_gram(ev.g)
     dG = np.zeros_like(A)
     dG[:, :spec.n, :spec.n] = spec.connection_fields([point])["dg"][0]
@@ -338,7 +374,7 @@ def metric_residual(spec, point, ev=None):
 def parallel_map_residual(spec, point, ev=None):
     """Residual of D F = 0: d_i F + [A_i, F] per direction."""
     ev = ev or spec.eval_at(point)
-    A = bd.assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
+    A = assemble_coefficients(ev.g, ev.gamma, ev.S, ev.f, ev.u)
     F = bd.assemble_bundle_map(ev.f, ev.U, ev.u, ev.lam)
     dg = spec.connection_fields([point])["dg"][0]
     du = np.array([dg[p] @ ev.U + ev.g @ ev.dU[p] for p in range(spec.n)])

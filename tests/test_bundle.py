@@ -4,6 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
+from immersion_forge import ambient as am
 from immersion_forge import bundle as bd
 from immersion_forge import expr as ex
 from immersion_forge import geometry as geo
@@ -116,6 +117,43 @@ def test_coefficients_recover_shape_operator(cylinder):
         assert np.allclose(A[i, n, :n], (g @ S)[:, i])
         assert np.allclose(A[i, :n, n], -S[:, i])
         assert np.allclose(A[i, :n, :n], gamma[:, i, :])
+
+
+# the catalog at grid 3, then mixed_family(4, 2) and the n = 6 slice at grid 2
+STAGE_INPUTS = {
+    **{name: (lambda name=name: am.catalog_entry(name), 3)
+       for name in am.catalog_names()},
+    "mixed_4_2": (lambda: oracles.mixed_family(4, 2), 2),
+    "slice_n6": (lambda: oracles.slice_hypersurface(6), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_INPUTS))
+def test_stage_matrices_equal_the_n_fold_reference(name, rng):
+    """B = -sum_i delta_i A_i against the reference's n matrices A_i at a
+    batch of points: equal along +-h e_k, where every other term is a
+    signed zero, and so A_i = -B(e_i) from ``coefficients``; within 1e-15
+    of the largest entry along a diagonal."""
+    make, density = STAGE_INPUTS[name]
+    spec = am.extract_structure(make())
+    points = spec.chart.grid(density)
+    data = spec.connection_data_batch(points)
+    A = oracles.assemble_coefficients(*data)
+    for k in range(spec.n):
+        for h in (0.3, -0.3):
+            delta = np.zeros(points.shape)
+            delta[:, k] = h
+            assert np.array_equal(bd.stage_matrices(*data, delta),
+                                  -(h * A[:, k]))
+    delta = rng.uniform(-0.3, 0.3, points.shape)
+    want = -np.einsum("pi,piab->pab", delta, A)
+    got = bd.stage_matrices(*data, delta)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    conn = bd.ConnectionField(spec)
+    for point in points:
+        assert np.array_equal(
+            conn.coefficients(point),
+            oracles.assemble_coefficients(*spec.connection_data_at(point)))
 
 
 # -- batched stage evaluation ------------------------------------------------

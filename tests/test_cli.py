@@ -127,6 +127,18 @@ def test_check_f_identity_exits_1(capsys, tmp_path):
     assert any("excluded case f = +/-Id" in r for r in summary["reasons"])
 
 
+def test_roundtrip_of_f_identity_exits_1(capsys, tmp_path):
+    """A curve in the H^1 factor of S^1 x H^1 has f = -Id: roundtrip
+    refuses it at admission."""
+    doc = {"kind": "hypersurface", "n": 1, "k": 1, "coords": ["t"],
+           "domain": [[-0.5, 0.5]], "base_point": [0.0],
+           "fields": {"x": ["1", "0", "sinh(t)", "cosh(t)"]}}
+    code, out, err = run(capsys, "roundtrip", write_doc(tmp_path, doc))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"summary": True, "admissible": False,
+                               "reasons": ["excluded case f = +/-Id"]}
+
+
 def test_malformed_expression_exits_2(capsys, tmp_path):
     doc = flat_slice_doc()
     doc["fields"]["lambda"] = "1 + *u1"
@@ -186,10 +198,21 @@ def _with_field(**fields):
     (flat_slice_doc, _with_field(**{"lambda": ["-1"]}), "at lambda"),
     (flat_slice_doc, _with(coords=["u1", "u1"]), "coordinate names"),
     (flat_slice_doc, _with(n=True), "'n'"),
+    (slice_hypersurface_doc, _with(fields={}),
+     "hypersurface input needs fields.x"),
+    (slice_hypersurface_doc, lambda doc: doc.pop("k"),
+     "hypersurface input needs k"),
+    (slice_hypersurface_doc, _with_field(x=["1", "0", "0", "1"]),
+     "parametrization must have n + 3 components"),
+    (flat_slice_doc, lambda doc: doc["fields"].pop("lambda"),
+     "structure input needs fields.lambda"),
+    (flat_slice_doc, _with_field(U=["0", "0", "0"]),
+     "field U must have shape (2,)"),
 ], ids=["hyp-k-str", "hyp-k-null", "hyp-k-float", "hyp-k-bool",
         "hyp-x-str", "hyp-coords-repeat", "st-k-str", "st-k-float",
         "st-k-0", "st-k-bool", "st-lambda-list", "st-coords-repeat",
-        "st-n-bool"])
+        "st-n-bool", "hyp-x-missing", "hyp-k-missing", "hyp-x-short",
+        "st-lambda-missing", "st-U-long"])
 def test_malformed_fields_exit_2(capsys, tmp_path, command, make, mutate,
                                  named):
     doc = make()
@@ -286,6 +309,16 @@ def test_grid_above_point_cap_exits_2(capsys, command, source, grid, points):
     assert f"the cap is {geo.MAX_GRID_POINTS}" in err
 
 
+def test_unparseable_base_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["reconstruct", "catalog:geodesic_slice", "--base=a,b"])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        "error: argument --base: bad point 'a,b'\n")
+    assert "Traceback" not in captured.err
+
+
 def test_base_inside_chart_accepted(capsys):
     code, out, _ = run(capsys, "roundtrip", "catalog:geodesic_slice",
                        "--grid", "2", "--base=-0.3,0.4")
@@ -350,6 +383,22 @@ def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("make,message", [
+    (str, "error: cannot read {}: "),
+    (lambda tmp_path: str(tmp_path / "missing.json"),
+     "error: cannot read {}: "),
+    (lambda tmp_path: write_doc(tmp_path, [1, 2]),
+     "error: input document must be a JSON object\n"),
+], ids=["directory", "missing", "json-list"])
+def test_unreadable_or_non_object_input_exits_2(capsys, tmp_path, make,
+                                                 message):
+    path = make(tmp_path)
+    code, out, err = run(capsys, "check", path, "--grid", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(message.format(path))
+    assert "Traceback" not in err
 
 
 def test_invalid_json_exits_2(capsys, tmp_path):
