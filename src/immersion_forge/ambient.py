@@ -295,7 +295,7 @@ class Congruence:
     sup_residual: float          # sup_p |Phi psi1(p) - psi2(p)|
     block_residual: float        # off-diagonal block mass
     orthogonality_residual: float
-    preserves_sheet: bool
+    preserves_sheet: bool        # each Phi psi1(p) on the upper sheet, not NaN
     residuals: np.ndarray        # |Phi psi1(p) - psi2(p)| at each point
     tolerance: float             # bound on sup_residual
 
@@ -339,7 +339,7 @@ def solve_congruence(samples1, samples2, k, tol=1e-6):
     return Congruence(matrix=phi, k=k, sup_residual=float(residuals.max()),
                       block_residual=block_res,
                       orthogonality_residual=orth_res,
-                      preserves_sheet=not (img[:, -1] <= 0.0).any(),
+                      preserves_sheet=bool((img[:, -1] > 0.0).all()),
                       residuals=residuals, tolerance=tol)
 
 

@@ -76,9 +76,7 @@ def assemble_gram(g):
     n = g.shape[-1]
     G = np.zeros(g.shape[:-2] + (n + 3, n + 3))
     G[..., :n, :n] = g
-    G[..., n, n] = 1.0
-    G[..., n + 1, n + 1] = 1.0
-    G[..., n + 2, n + 2] = -1.0
+    G[..., n:, n:] = geo.minkowski_metric(3)
     return G
 
 
@@ -90,8 +88,7 @@ def assemble_bundle_map(f, U, u, lam):
     F[n, :n] = u
     F[:n, n] = U
     F[n, n] = lam
-    F[n + 1, n + 1] = 1.0
-    F[n + 2, n + 2] = -1.0
+    F[n + 1:, n + 1:] = np.diag([1.0, -1.0])
     return F
 
 

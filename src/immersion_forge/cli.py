@@ -44,8 +44,8 @@ import os
 import sys
 import tempfile
 
-# every matrix here is at most 8 x 8, so the BLAS thread pool that numpy
-# starts at import only adds start-up time; a value set by the user wins
+# the matrices here are small, so the BLAS thread pool that numpy starts at
+# import only adds start-up time; a value set by the user wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
@@ -179,12 +179,13 @@ def load_checked_input(config):
     kind, transports = COMMANDS[config.command][3:]
     obj = load_input(config.input)
     chart = obj.chart
+    given = "--grid"
     if config.grid is None:
-        config.grid = geo.default_grid(chart.n)
+        config.grid, given = geo.default_grid(chart.n), "the default grid"
     points = config.grid ** chart.n
     if points > geo.MAX_GRID_POINTS:
-        raise InputError(f"--grid {config.grid} gives {points} points on this "
-                         f"{chart.n}-dimensional chart; the cap is "
+        raise InputError(f"{given} {config.grid} gives {points} points on "
+                         f"this {chart.n}-dimensional chart; the cap is "
                          f"{geo.MAX_GRID_POINTS}")
     base = config.base
     if base is not None and len(base) != chart.n:

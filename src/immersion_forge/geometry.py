@@ -144,16 +144,13 @@ def compile_fields(fields, coords):
     """
     blocks = [(name, np.asarray(arr, dtype=object)) for name, arr in fields]
     fn = ex.compile_exprs([e for _, arr in blocks for e in arr.ravel()], coords)
+    cuts = np.cumsum([arr.size for _, arr in blocks])[:-1]
 
     def evaluate(points):
         vals = fn(points)
-        out = {}
-        pos = 0
-        for name, arr in blocks:
-            out[name] = vals[:, pos:pos + arr.size].reshape(
-                (len(vals),) + arr.shape)
-            pos += arr.size
-        return out
+        parts = np.split(vals, cuts, axis=1)
+        return {name: part.reshape((len(vals),) + arr.shape)
+                for (name, arr), part in zip(blocks, parts)}
 
     return evaluate
 

@@ -30,14 +30,15 @@ class ReconstructionError(Exception):
     pass
 
 
-def _gram_schmidt(vectors, G):
-    """G-orthonormalize (G positive definite on the span), dropping defects."""
+def _gram_schmidt(vectors, G, scales):
+    """G-orthonormalize (G positive definite on the span), dropping each
+    vector whose part off the span has G-norm^2 <= 1e-18 times its scale."""
     out = []
-    for w in vectors:
+    for w, scale in zip(vectors, scales):
         for b in out:
             w = w - float(b @ G @ w) * b
         norm2 = float(w @ G @ w)
-        if norm2 > 1e-18:
+        if norm2 / scale > 1e-18:
             out.append(w / np.sqrt(norm2))
     return out
 
@@ -53,10 +54,12 @@ def synthesize_frame(F, G, k):
     N = len(F)
     eye = np.eye(N)
     xi2 = eye[-1]
-    plus = _gram_schmidt([eye[-2], *(0.5 * (eye + F.T))], G)
+    # candidate i projects e_i: its cutoff scales with |G_ii|, 1 for xi1
+    scales = np.abs(np.diag(G))
+    plus = _gram_schmidt([eye[-2], *(0.5 * (eye + F.T))], G, [1.0, *scales])
     # the timelike seed projected out of each -1 candidate
     minus = _gram_schmidt([v + float(v @ G @ xi2) * xi2
-                           for v in 0.5 * (eye - F.T)], G) + [xi2]
+                           for v in 0.5 * (eye - F.T)], G, scales) + [xi2]
     for sign, block, size in (("+1", plus, k + 1), ("-1", minus, N - k - 1)):
         if len(block) != size:
             raise ReconstructionError(f"{sign} eigenspace of F has dimension "
@@ -131,6 +134,8 @@ class Immersion:
     def sample(self, point):
         return self.samples([point])[0]
 
+    # a transport that overflows gives inf or NaN samples, and no warning
+    @np.errstate(over="ignore", invalid="ignore")
     def samples(self, points):
         """Samples at ``points`` (None: the chart grid), read off the frames
         with g evaluated once per ``geometry.GRID_CHUNK`` points.  The frame
@@ -214,6 +219,8 @@ DEFAULT_VALIDATION_TOLERANCES = {
 FD_STEP = 1e-4
 
 
+# inf or NaN samples fail their residuals, with no warning
+@np.errstate(over="ignore", invalid="ignore")
 def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
                      admission=None):
     """Reconstruct and check the immersion against the model geometry.
@@ -231,14 +238,13 @@ def validate_theorem(spec, points=None, base=None, step=bd.DEFAULT_STEP,
     if not admission.admissible:
         raise st.InadmissibleStructureError(
             "structure fails admission: " + "; ".join(admission.reasons))
-    imm = Immersion(spec, k=admission.k, base=base, step=step)
+    imm, samples = immerse(spec, points, base=base, step=step, k=admission.k)
     model = AmbientModel(spec.n, imm.k)
-    samples = imm.samples(points)
 
     def checks(start, chunk):
         s = samples[start:start + len(chunk)]
         v = spec.connection_fields(chunk)
-        u = geo.matvec(v["g"], v["U"])          # as StructureEval.u forms it
+        u = geo.matvec(v["g"], v["U"])      # as StructureEval.u and transport
         psi, N, dpsi = s.psi, s.normal, s.dpsi
         dpsiT_J = np.swapaxes(dpsi, -1, -2) @ model.minkowski
         return {

@@ -58,11 +58,7 @@ class StructureEval:
     dU: np.ndarray       # dU[p, a]
     lam: float
     dlam: np.ndarray
-
-    @property
-    def u(self):
-        """Lowered U: u_i = g(U, d_i)."""
-        return geo.matvec(self.g, self.U)
+    u: np.ndarray        # U lowered: u_i = g(U, d_i)
 
 
 class StructureSpec:
@@ -90,16 +86,21 @@ class StructureSpec:
     def n(self):
         return self.chart.n
 
+    def _first_order(self):
+        """The first-order blocks (name, expressions): g, dg, S, f, U, lam."""
+        dg = geo.derivatives(self.g, self.chart.coords)
+        return [("g", self.g), ("dg", dg), ("S", self.S), ("f", self.f),
+                ("U", self.U), ("lam", self.lam)]
+
     @cached_property
     def _full_evaluator(self):
-        """Compiled g, dg, ddg, S, dS, f, df, U, dU, lam, dlam."""
+        """Compiled first-order blocks and the derivative of each but g:
+        ddg, dS, df, dU, dlam."""
         coords = self.chart.coords
-        dg = geo.derivatives(self.g, coords)
-        blocks = [("g", self.g), ("dg", dg), ("ddg", geo.derivatives(dg, coords))]
-        for name, arr in (("S", self.S), ("f", self.f), ("U", self.U),
-                          ("lam", self.lam)):
-            blocks += [(name, arr), ("d" + name, geo.derivatives(arr, coords))]
-        return geo.compile_fields(blocks, coords)
+        blocks = self._first_order()
+        return geo.compile_fields(
+            blocks + [("d" + name, geo.derivatives(arr, coords))
+                      for name, arr in blocks[1:]], coords)
 
     def eval_batch(self, points):
         """StructureEval of the points (P, n) along a leading axis; raises
@@ -113,19 +114,15 @@ class StructureSpec:
         points where g is positive definite."""
         g = v.pop("g")
         calc = geo.calculus_from_values(g, v.pop("dg"), v.pop("ddg"))
-        return StructureEval(g=g, **calc, **v)
+        return StructureEval(g=g, **calc, **v, u=geo.matvec(g, v["U"]))
 
     def eval_at(self, point):
         return geo.point_of(self.eval_batch([point]), 0)
 
     @cached_property
     def connection_fields(self):
-        """Compiled first-order fields: the bundle connection's, and lambda."""
-        coords = self.chart.coords
-        return geo.compile_fields(
-            [("g", self.g), ("dg", geo.derivatives(self.g, coords)),
-             ("S", self.S), ("f", self.f), ("U", self.U), ("lam", self.lam)],
-            coords)
+        """Compiled first-order blocks: the bundle connection's, and lambda."""
+        return geo.compile_fields(self._first_order(), self.chart.coords)
 
     def connection_data_batch(self, points):
         """Stacked (g, gamma, S, f, u) at each of ``points``, shape (P, n)."""
@@ -134,7 +131,7 @@ class StructureSpec:
         g = v["g"]
         geo.check_positive_definite(g, points)
         gamma = geo.christoffels_from_values(g, v["dg"])
-        return g, gamma, v["S"], v["f"], np.einsum("pij,pj->pi", g, v["U"])
+        return g, gamma, v["S"], v["f"], geo.matvec(g, v["U"])
 
     def connection_data_at(self, point):
         """(g, gamma, S, f, u) needed to assemble connection coefficients."""

@@ -502,7 +502,7 @@ def congruence(samples1, samples2, k):
         img = phi @ samples1.psi[j]
         residuals.append(float(np.abs(img - samples2.psi[j]).max()))
         sup = max(sup, residuals[-1])
-        if img[-1] <= 0.0:
+        if not img[-1] > 0.0:       # a NaN image is on no sheet
             sheet_ok = False
     return {"matrix": phi, "residuals": np.array(residuals), "sup": sup,
             "preserves_sheet": sheet_ok}

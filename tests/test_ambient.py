@@ -457,6 +457,18 @@ def test_solve_congruence_detects_mismatch(catalog_structures):
     assert not cong.congruent
 
 
+def test_solve_congruence_puts_a_nan_image_on_no_sheet(catalog_structures):
+    h, _ = catalog_structures["diagonal_cylinder"]
+    samples = am.hypersurface_samples(h, h.chart.grid(3))
+    psi = samples.psi.copy()
+    psi[-1] = np.nan
+    broken = type(samples)(points=samples.points, psi=psi,
+                           normal=samples.normal, dpsi=samples.dpsi)
+    cong = am.solve_congruence(broken, samples, h.k)
+    assert cong.preserves_sheet is False
+    assert not cong.congruent
+
+
 # ---------------------------------------------------------------------------
 # equation audit
 

@@ -139,6 +139,53 @@ def test_roundtrip_of_f_identity_exits_1(capsys, tmp_path):
                                "reasons": ["excluded case f = +/-Id"]}
 
 
+@pytest.mark.parametrize("g11", ["1e-20", "1e-300"])
+def test_reconstruct_does_not_depend_on_the_scale_of_g(capsys, tmp_path, g11):
+    """The frame at the base keeps a direction whose G-norm is tiny: each
+    candidate's cutoff scales with |G_ii| of the basis vector it projects."""
+    doc = flat_slice_doc()
+    doc["fields"]["g"] = [[g11, "0"], ["0", "1"]]
+    code, out, err = run(capsys, "reconstruct", write_doc(tmp_path, doc),
+                         "--grid", "3", "--step", "0.05")
+    assert (code, err) == (0, "")
+    _, summary = parse_jsonl(out)
+    assert summary["valid"] is True
+
+
+@pytest.mark.parametrize("step,failing", [
+    ("0.05", ["quadric", "isometry"]),
+    ("0.001", ["quadric", "isometry", "normal", "shape_operator",
+               "product_relations"]),
+])
+def test_reconstruct_that_overflows_fails_without_a_warning(capsys, tmp_path,
+                                                            step, failing):
+    """At g11 = 1e8 these steps are too coarse and the transport overflows:
+    the inf or NaN residuals fail validation, and numpy warns nothing (a
+    RuntimeWarning is an error in this suite)."""
+    doc = flat_slice_doc()
+    doc["fields"]["g"] = [["1e8", "0"], ["0", "1"]]
+    code, out, err = run(capsys, "reconstruct", write_doc(tmp_path, doc),
+                         "--grid", "3", "--step", step)
+    assert (code, err) == (1, "")
+    _, summary = parse_jsonl(out)
+    assert summary["failing"] == failing
+
+
+def test_roundtrip_that_overflows_is_not_congruent(capsys, tmp_path):
+    """A circle wound 10 000 times per unit overflows the transport at step
+    1e-3: the NaN images are on no hyperboloid sheet, and numpy warns
+    nothing."""
+    doc = slice_hypersurface_doc()
+    doc["fields"]["x"][:2] = ["cos(10000*u1)", "sin(10000*u1)"]
+    code, out, err = run(capsys, "roundtrip", write_doc(tmp_path, doc),
+                         "--grid", "3", "--step", "0.001")
+    assert (code, err) == (1, "")
+    _, summary = parse_jsonl(out)
+    assert summary["congruence_sup"] != summary["congruence_sup"]     # NaN
+    assert summary["preserves_sheet"] is False
+    assert summary["congruent"] is False
+
+
 def test_malformed_expression_exits_2(capsys, tmp_path):
     doc = flat_slice_doc()
     doc["fields"]["lambda"] = "1 + *u1"
@@ -354,8 +401,8 @@ def test_default_grid_above_the_point_cap_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "check", path)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --grid 2 gives 131072 points on this "
-                          "17-dimensional chart")
+    assert err == ("error: the default grid 2 gives 131072 points on this "
+                   "17-dimensional chart; the cap is 100000\n")
 
 
 @pytest.mark.parametrize("command", ["check", "extract", "roundtrip",

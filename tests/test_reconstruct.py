@@ -25,6 +25,18 @@ def test_synthesized_frame_is_adapted(catalog_structures):
     assert np.abs(F @ E0[:, k + 1:] + E0[:, k + 1:]).max() < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-300])
+def test_synthesized_frame_does_not_depend_on_the_scale_of_g(scale):
+    """g = diag(scale, 1), f = diag(1, -1), U = 0, lambda = -1: the +1
+    eigenspace holds d_1 and xi_1 at every scale of g_11."""
+    g, f = np.diag([scale, 1.0]), np.diag([1.0, -1.0])
+    F = bd.assemble_bundle_map(f, np.zeros(2), np.zeros(2), -1.0)
+    G = bd.assemble_gram(g)
+    E0 = rc.synthesize_frame(F, G, 1)
+    assert np.abs(E0.T @ G @ E0 - geo.minkowski_metric(5)).max() < 1e-12
+    assert np.abs(F @ E0[:, :2] - E0[:, :2]).max() == 0.0
+
+
 def test_base_point_maps_to_standard_position(catalog_structures):
     _, spec = catalog_structures["diagonal_cylinder"]
     imm = rc.Immersion(spec)
